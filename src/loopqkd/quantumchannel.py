@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .loopmodel import LoopConfig, fringe_coefficients
+from .loopmodel import FringeCoefficients, LoopConfig, fringe_coefficients
 
 _MASK64 = (1 << 64) - 1
 
@@ -116,25 +116,85 @@ def no_click_probabilities(p1, p2, src: SourceParams, det: DetectorParams):
     return a1, a2
 
 
+@dataclass(frozen=True)
+class ClickLaw:
+    """Joint law of the four gate outcomes, elementwise over arrays.
+
+    The detectors are independent, so the outcomes factorize over their
+    no-click probabilities ``a1`` and ``a2``.  This is the one expression of
+    the click law: the session engine samples from ``thresholds()`` (per
+    choice cell, or per pulse under noise taps), and ``expected_session``
+    and ``click_probabilities`` read the outcome probabilities.
+    """
+
+    a1: np.ndarray | float
+    a2: np.ndarray | float
+
+    @classmethod
+    def at_phase(
+        cls, delta, fc: FringeCoefficients, src: SourceParams, det: DetectorParams
+    ) -> "ClickLaw":
+        """Law at phase differences ``delta`` (radians) across a loop's fringe."""
+        p1, p2 = fc.probs(np.asarray(delta, dtype=float) % (2.0 * math.pi))
+        return cls(*no_click_probabilities(p1, p2, src, det))
+
+    @property
+    def q_none(self):
+        return self.a1 * self.a2
+
+    @property
+    def q_d1(self):
+        return (1.0 - self.a1) * self.a2
+
+    @property
+    def q_d2(self):
+        return self.a1 * (1.0 - self.a2)
+
+    @property
+    def q_both(self):
+        return (1.0 - self.a1) * (1.0 - self.a2)
+
+    def thresholds(self):
+        """Cumulative thresholds of the categorical order none | d1 | d2 | both.
+
+        A uniform draw u falls in outcome k (0 = none ... 3 = both) when it
+        is >= exactly k of the three thresholds.
+        """
+        q_none = self.q_none
+        t_d1 = q_none + self.q_d1
+        return q_none, t_d1, t_d1 + self.q_d2
+
+
+def cell_click_law(
+    fc: FringeCoefficients, phase_table, src: SourceParams, det: DetectorParams
+) -> ClickLaw:
+    """Click law of the 8 protocol choice cells (1-D arrays of length 8).
+
+    Cell ``(alice_basis * 2 + alice_bit) * 2 + bob_basis`` holds the phase
+    difference ``alice_phases[alice_basis, alice_bit] - bob_phases[bob_basis]``
+    of ``phase_table`` (a ``bb84.PhaseTable``); an intercept-resend pulse
+    falls in the cell of Eve's re-prepared (basis, bit) instead.
+    """
+    delta = (phase_table.alice_phases.reshape(4, 1) - phase_table.bob_phases.reshape(1, 2)).reshape(8)
+    return ClickLaw.at_phase(delta, fc, src, det)
+
+
 def click_probabilities(
     p1: float, p2: float, src: SourceParams, det: DetectorParams
 ) -> ClickDistribution:
     """Joint distribution of the four gate outcomes for given port probabilities.
 
     P(no click at Di) = (1 - dark_prob) * exp(-mu * eta * p_i); the detectors
-    are independent, so the four joint outcomes factorize.
+    are independent, so the four joint outcomes factorize (``ClickLaw``).
     """
     src.validate()
     det.validate()
     if not (p1 >= 0.0 and p2 >= 0.0 and p1 + p2 <= 1.0 + PROB_SUM_TOL):
         raise ValueError(f"port probabilities invalid: p1={p1}, p2={p2}")
     a1, a2 = no_click_probabilities(p1, p2, src, det)
-    a1, a2 = float(a1), float(a2)
+    law = ClickLaw(float(a1), float(a2))
     return ClickDistribution(
-        q_none=a1 * a2,
-        q_d1_only=(1.0 - a1) * a2,
-        q_d2_only=a1 * (1.0 - a2),
-        q_both=(1.0 - a1) * (1.0 - a2),
+        q_none=law.q_none, q_d1_only=law.q_d1, q_d2_only=law.q_d2, q_both=law.q_both
     )
 
 
@@ -175,14 +235,17 @@ def expected_session(
 ) -> ExpectedSession:
     """Exact session expectations by enumerating the 8 equally likely choice cells.
 
-    ``phase_table`` supplies the protocol's phase coding: ``alice(basis, bit)``
-    and ``bob(basis)`` in radians.  Averages over uniform independent bit and
-    basis choices, applies the double-click policy, and counts an error when a
-    sifted click decodes to the wrong bit (detector 1 -> 0, detector 2 -> 1).
+    ``phase_table`` supplies the protocol's phase coding (a ``bb84.PhaseTable``).
+    The cells' click law is ``cell_click_law``, the same table whose
+    thresholds the session engine samples from.  Averages over uniform
+    independent bit and basis choices, applies the double-click policy, and
+    counts an error when a sifted click decodes to the wrong bit
+    (detector 1 -> 0, detector 2 -> 1).
     """
     src.validate()
     det.validate()
-    fc = fringe_coefficients(config)
+    law = cell_click_law(fringe_coefficients(config), phase_table, src, det)
+    q_d1, q_d2, q_both = law.q_d1.tolist(), law.q_d2.tolist(), law.q_both.tolist()
     policy = det.double_click_policy
     sifted = 0.0
     errors = 0.0
@@ -191,19 +254,17 @@ def expected_session(
     for a_basis in (0, 1):
         for a_bit in (0, 1):
             for b_basis in (0, 1):
-                delta = phase_table.alice(a_basis, a_bit) - phase_table.bob(b_basis)
-                p1, p2 = fc.probs(delta % (2.0 * math.pi))
-                d = click_probabilities(p1, p2, src, det)
-                clicks += w * (d.q_d1_only + d.q_d2_only + d.q_both)
+                c = (a_basis * 2 + a_bit) * 2 + b_basis
+                clicks += w * (q_d1[c] + q_d2[c] + q_both[c])
                 if a_basis != b_basis:
                     continue
-                wrong = d.q_d2_only if a_bit == 0 else d.q_d1_only
+                wrong = q_d2[c] if a_bit == 0 else q_d1[c]
                 if policy is DoubleClickPolicy.DISCARD:
-                    sifted += w * (d.q_d1_only + d.q_d2_only)
+                    sifted += w * (q_d1[c] + q_d2[c])
                     errors += w * wrong
                 else:
-                    sifted += w * (d.q_d1_only + d.q_d2_only + d.q_both)
-                    errors += w * (wrong + 0.5 * d.q_both)
+                    sifted += w * (q_d1[c] + q_d2[c] + q_both[c])
+                    errors += w * (wrong + 0.5 * q_both[c])
     return ExpectedSession(
         sifted_prob=sifted,
         error_prob=errors,

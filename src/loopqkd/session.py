@@ -18,6 +18,18 @@ ring disturbance     16 + i   cw-pass phases, ccw-pass phases for noisy entity i
 Counts merge by pure addition, so results are independent of batch
 processing order, and any single pulse can be re-derived from the seed,
 its batch index (pulse // batch_size) and offset (pulse % batch_size).
+
+Click sampling: each pulse draws one detection uniform and lands in the
+outcome none|d1|d2|both given by how many of three cumulative thresholds
+it passes.  Without a live noise tap, a pulse's phase difference is fixed
+by its choice cell, (alice basis * 2 + alice bit) * 2 + bob basis, or by
+Eve's re-prepared (basis, bit) in place of Alice's on an attacked pulse.
+The thresholds of the 8 cells are then computed once per session
+(``quantumchannel.cell_click_law``) and gathered per pulse.  A live noise
+tap makes the phase difference continuous, so the thresholds are computed
+per pulse from its own phase difference (``ClickLaw.at_phase``).  Both
+paths, and ``expected_session``, evaluate the one expression in
+``ClickLaw``, so a pulse gets bit-identical thresholds on either path.
 """
 
 from __future__ import annotations
@@ -38,12 +50,13 @@ from .bb84 import (
 )
 from .loopmodel import LoopConfig, fringe_coefficients
 from .quantumchannel import (
+    ClickLaw,
     ClickOutcome,
     DetectorParams,
     DoubleClickPolicy,
     RngStream,
     SourceParams,
-    no_click_probabilities,
+    cell_click_law,
 )
 
 PURPOSE_CHOICES = 1
@@ -118,9 +131,14 @@ def run_session(
     """Execute a full session: loop optics -> click sampling -> sifting counts.
 
     Deterministic given (config, params, noise); see the module docstring
-    for the substream layout.  ``collect_records`` materializes per-pulse
-    protocol records (intended for transcripts and small sessions; memory
-    grows linearly with pulse count).
+    for the substream layout.  Without a live noise tap (a Gaussian tap
+    with sigma 0 is dead and draws nothing), each pulse's thresholds are
+    gathered from the 8-cell table built once from ``cell_click_law``;
+    with one, they are computed per pulse by ``ClickLaw.at_phase``.  Both
+    give the same thresholds for the same phase difference.
+    ``collect_records`` materializes per-pulse protocol records (intended
+    for transcripts and small sessions; memory grows linearly with pulse
+    count).
     """
     params.validate()
     for tap in noise:
@@ -129,6 +147,14 @@ def run_session(
     root = RngStream(params.seed)
     table = params.table
     policy = params.detectors.double_click_policy
+    eve_on = params.eve.strategy is not EveStrategy.OFF
+    # a zero-sigma Gaussian tap adds exactly zero phase and draws nothing
+    live_taps = tuple(
+        tap for tap in noise if not (tap.sigma == 0.0 and tap.kind is DisturbanceKind.GAUSSIAN)
+    )
+    need_phases = eve_on or collect_records or bool(live_taps)
+    if not live_taps:
+        cell_thresholds = cell_click_law(fc, table, params.source, params.detectors).thresholds()
 
     pulses_left = params.pulses
     batch = 0
@@ -146,11 +172,11 @@ def run_session(
         alice_bases = g_choice.integers(0, 2, size=n)
         bob_bases = g_choice.integers(0, 2, size=n)
 
-        phi_a = table.alice_phases[alice_bases, alice_bits]
-        phi_b = table.bob_phases[bob_bases]
+        if need_phases:
+            phi_a = table.alice_phases[alice_bases, alice_bits]
+            phi_b = table.bob_phases[bob_bases]
 
-        eff_phi_a = phi_a
-        if params.eve.strategy is not EveStrategy.OFF:
+        if eve_on:
             g_eve = root.substream(PURPOSE_EVE, batch).generator
             u_attack = g_eve.random(n)
             eve_bases = g_eve.integers(0, 2, size=n)
@@ -158,34 +184,37 @@ def run_session(
             attacked = u_attack < params.eve.fraction
             p_zero = np.cos((phi_a - table.bob_phases[eve_bases]) / 2.0) ** 2
             eve_bits = (u_outcome >= p_zero).astype(np.int64)
-            eff_phi_a = np.where(attacked, table.alice_phases[eve_bases, eve_bits], phi_a)
 
-        delta = eff_phi_a - phi_b
-        for tap in noise:
-            if tap.sigma == 0.0 and tap.kind is DisturbanceKind.GAUSSIAN:
-                continue
-            g_noise = root.substream(PURPOSE_NOISE_BASE + tap.tag, batch).generator
-            if tap.kind is DisturbanceKind.GAUSSIAN:
-                cw_pass = g_noise.normal(0.0, tap.sigma, size=n)
-                ccw_pass = g_noise.normal(0.0, tap.sigma, size=n)
-            else:
-                cw_pass = g_noise.uniform(0.0, 2.0 * math.pi, size=n)
-                ccw_pass = g_noise.uniform(0.0, 2.0 * math.pi, size=n)
-            delta = delta + cw_pass - ccw_pass
-
-        p1, p2 = fc.probs(np.asarray(delta, dtype=float) % (2.0 * math.pi))
-        a1, a2 = no_click_probabilities(p1, p2, params.source, params.detectors)
-        q_none = a1 * a2
-        q_d1 = (1.0 - a1) * a2
-        q_d2 = a1 * (1.0 - a2)
+        if live_taps:
+            eff_phi_a = phi_a
+            if eve_on:
+                eff_phi_a = np.where(attacked, table.alice_phases[eve_bases, eve_bits], phi_a)
+            delta = eff_phi_a - phi_b
+            for tap in live_taps:
+                g_noise = root.substream(PURPOSE_NOISE_BASE + tap.tag, batch).generator
+                if tap.kind is DisturbanceKind.GAUSSIAN:
+                    cw_pass = g_noise.normal(0.0, tap.sigma, size=n)
+                    ccw_pass = g_noise.normal(0.0, tap.sigma, size=n)
+                else:
+                    cw_pass = g_noise.uniform(0.0, 2.0 * math.pi, size=n)
+                    ccw_pass = g_noise.uniform(0.0, 2.0 * math.pi, size=n)
+                delta = delta + cw_pass - ccw_pass
+            t_none, t_d1, t_d2 = ClickLaw.at_phase(
+                delta, fc, params.source, params.detectors
+            ).thresholds()
+        else:
+            cell = (alice_bases * 2 + alice_bits) * 2 + bob_bases
+            if eve_on:
+                cell = np.where(attacked, (eve_bases * 2 + eve_bits) * 2 + bob_bases, cell)
+            t_none, t_d1, t_d2 = (t[cell] for t in cell_thresholds)
 
         g_detect = root.substream(PURPOSE_DETECT, batch).generator
         u = g_detect.random(n)
         # categorical in fixed order none|d1|d2|both
         code = (
-            (u >= q_none).astype(np.int8)
-            + (u >= q_none + q_d1).astype(np.int8)
-            + (u >= q_none + q_d1 + q_d2).astype(np.int8)
+            (u >= t_none).astype(np.int8)
+            + (u >= t_d1).astype(np.int8)
+            + (u >= t_d2).astype(np.int8)
         )
         raw_code = code.copy()
         if policy is DoubleClickPolicy.RANDOM_ASSIGN:

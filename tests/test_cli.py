@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -135,10 +136,15 @@ def test_calibrate_command(tmp_path):
 
 
 def test_console_entry_point_runs_in_subprocess(tmp_path):
+    # the child imports the package from this checkout, as the tests do
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "loopqkd", "run", IDEAL, "--pulses", "2000"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("# schema loopqkd.run.v1")

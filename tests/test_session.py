@@ -35,10 +35,26 @@ def test_session_deterministic_per_seed():
 
 
 def test_session_independent_of_batch_size():
+    # any batch size that holds the whole session gives the same single batch
     cfg = standard_loop()
-    a, _ = run_session(cfg, SessionParams(pulses=30_000, seed=5, batch_size=1 << 17))
+    a, _ = run_session(cfg, SessionParams(pulses=30_000, seed=5, batch_size=1 << 15))
     b, _ = run_session(cfg, SessionParams(pulses=30_000, seed=5, batch_size=1 << 17))
     assert a == b
+
+
+def test_multi_batch_session_matches_closed_form():
+    # 1 << 12 splits the session into 74 batches, each on its own substreams
+    cfg = standard_loop(delay_jones=rotator(0.3), attenuator_transmittance=0.6)
+    src = SourceParams(mu=0.4)
+    det = DetectorParams(efficiency=0.7, dark_prob=1e-3)
+    exp = expected_session(cfg, PHASE_CODING, src, det)
+    pulses = 300_000
+    stats, _ = run_session(
+        cfg, SessionParams(pulses=pulses, seed=5, source=src, detectors=det, batch_size=1 << 12)
+    )
+    sift_tol, qber_tol = mc_tolerances(exp, pulses)
+    assert abs(stats.sifted_bits - pulses * exp.sifted_prob) < sift_tol
+    assert abs(stats.qber - exp.qber) < qber_tol
 
 
 def test_engine_counts_agree_with_record_sift():
