@@ -5,6 +5,11 @@ a measurement basis as a phase shift on his, and the interferometer routes
 the photon to detector 1 or 2 according to the difference.  With matched
 bases the difference is 0 or pi and the detector identifies the bit; with
 mismatched bases it is +-pi/2 and the click is uninformative.
+
+The session engine (``session.run_session``) draws, detects and sifts all
+pulses in vectorized form and, on request, returns them as a columnar
+``Transcript``.  ``PulseRecord`` and ``sift`` are the row-wise reference
+recount: a transcript read back row by row must sift to the engine's counts.
 """
 
 from __future__ import annotations
@@ -12,11 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .quantumchannel import ClickOutcome, DoubleClickPolicy, RngStream
+from .quantumchannel import ClickOutcome, RngStream
 
 HALF_PI = math.pi / 2.0
 
@@ -89,6 +94,30 @@ class PulseRecord:
     decoded_bit: Optional[int]
 
 
+@dataclass(frozen=True, eq=False)
+class Transcript:
+    """Every pulse of a session, one NumPy array per column, row i = pulse i.
+
+    ``outcome`` is the gate outcome code before the double-click policy
+    (0 none, 1 d1, 2 d2, 3 both, the order of ``ClickOutcome``).
+    ``decoded`` is Bob's bit after the policy, detector 1 -> 0 and
+    detector 2 -> 1 (flipped under ``swap_detector_bits``); it is
+    meaningful only where ``sifted``.
+    """
+
+    alice_bits: np.ndarray
+    alice_bases: np.ndarray
+    bob_bases: np.ndarray
+    phi_a: np.ndarray
+    phi_b: np.ndarray
+    outcome: np.ndarray
+    sifted: np.ndarray
+    decoded: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.outcome)
+
+
 @dataclass(frozen=True)
 class SessionStats:
     """Counting summary of one key-exchange session.
@@ -156,62 +185,6 @@ def wilson_interval(k: int, n: int, z: float = Z95) -> tuple[float, float]:
     return (lo, hi)
 
 
-def alice_choose(rng: RngStream, table: PhaseTable = PHASE_CODING) -> tuple[int, int, float]:
-    """Draw Alice's (bit, basis) uniformly and look up her modulator phase."""
-    bit = int(rng.generator.integers(0, 2))
-    basis = int(rng.generator.integers(0, 2))
-    return bit, basis, table.alice(basis, bit)
-
-
-def bob_choose(rng: RngStream, table: PhaseTable = PHASE_CODING) -> tuple[int, float]:
-    """Draw Bob's basis uniformly and look up his modulator phase."""
-    basis = int(rng.generator.integers(0, 2))
-    return basis, table.bob(basis)
-
-
-def decode(outcome: ClickOutcome, bob_basis: int, swap: bool = False) -> Optional[int]:
-    """Map a resolved click to a bit: detector 1 -> 0, detector 2 -> 1.
-
-    The mapping is the same in both of Bob's bases; ``swap`` flips the
-    detector-to-bit convention.  Double clicks must be resolved by the
-    double-click policy before they reach here.
-    """
-    if outcome is ClickOutcome.NONE:
-        return None
-    if outcome is ClickOutcome.BOTH:
-        raise ValueError("double click reached decode; resolve it with the policy first")
-    bit = 0 if outcome is ClickOutcome.D1 else 1
-    return bit ^ int(swap)
-
-
-def eve_transform(
-    phi_a: float,
-    alice_basis: int,
-    eve: EveConfig,
-    rng: RngStream,
-    table: PhaseTable = PHASE_CODING,
-) -> float:
-    """Intercept-resend on one pulse: returns the phase Bob's loop actually sees.
-
-    With probability ``fraction`` Eve measures in a uniformly random basis
-    (projective outcome follows the interferometer's cosine law against her
-    basis phase) and re-prepares the pulse with the phase of her result.
-    Consumes three draws whenever the strategy is on, independent of the
-    attack coin, so transcripts stay aligned across fractions.
-    """
-    if eve.strategy is EveStrategy.OFF:
-        return phi_a
-    g = rng.generator
-    u_attack = g.random()
-    eve_basis = int(g.integers(0, 2))
-    u_outcome = g.random()
-    if u_attack >= eve.fraction:
-        return phi_a
-    p0 = math.cos((phi_a - table.bob(eve_basis)) / 2.0) ** 2
-    eve_bit = 0 if u_outcome < p0 else 1
-    return table.alice(eve_basis, eve_bit)
-
-
 @dataclass(frozen=True)
 class SiftResult:
     alice_key: np.ndarray
@@ -269,37 +242,3 @@ def sift(
     )
     return SiftResult(alice_key=alice_key, bob_key=bob_key, stats=stats)
 
-
-def build_record(
-    index: int,
-    alice_bit: int,
-    alice_basis: int,
-    bob_basis: int,
-    outcome: ClickOutcome,
-    policy: DoubleClickPolicy,
-    assign_draw: Optional[float] = None,
-    table: PhaseTable = PHASE_CODING,
-    swap: bool = False,
-) -> PulseRecord:
-    """Assemble one protocol record, resolving double clicks by policy."""
-    resolved = outcome
-    if outcome is ClickOutcome.BOTH:
-        if policy is DoubleClickPolicy.DISCARD:
-            resolved = ClickOutcome.NONE
-        else:
-            if assign_draw is None:
-                raise ValueError("random_assign policy needs an assignment draw")
-            resolved = ClickOutcome.D1 if assign_draw < 0.5 else ClickOutcome.D2
-    sifted = resolved in (ClickOutcome.D1, ClickOutcome.D2) and alice_basis == bob_basis
-    decoded = decode(resolved, bob_basis, swap) if sifted else None
-    return PulseRecord(
-        index=index,
-        alice_bit=alice_bit,
-        alice_basis=alice_basis,
-        bob_basis=bob_basis,
-        phi_a=table.alice(alice_basis, alice_bit),
-        phi_b=table.bob(bob_basis),
-        outcome=outcome,
-        sifted=sifted,
-        decoded_bit=decoded,
-    )

@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args: argparse.Namespace, partner: str | None = None) -> None:
     scenario = harness.load_scenario(args.scenario)
     collect = args.transcript is not None
-    report, records = harness.run(
+    report, transcript = harness.run(
         scenario,
         seed=args.seed,
         pulses=args.pulses,
@@ -102,8 +102,8 @@ def _cmd_run(args: argparse.Namespace, partner: str | None = None) -> None:
     _emit(harness.run_csv(report), args.out)
     if collect:
         with open(args.transcript, "w", encoding="utf-8", newline="") as f:
-            f.write(harness.transcript_csv(records))
-        _status(f"transcript: {len(records)} pulses -> {args.transcript}")
+            f.write(harness.transcript_csv(transcript))
+        _status(f"transcript: {len(transcript)} pulses -> {args.transcript}")
     s = report.stats
     _status(
         f"scenario {report.digest} seed {report.seed}: {report.pulses} pulses, "

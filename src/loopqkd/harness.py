@@ -20,17 +20,17 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 import yaml
 
 from . import jones
-from .bb84 import PHASE_CODING, EveConfig, EveStrategy, PulseRecord, SessionStats
+from .bb84 import PHASE_CODING, EveConfig, EveStrategy, SessionStats, Transcript
 from .jones import JonesOperator, JonesState
 from .loopmodel import LoopConfig, fringe_coefficients, standard_loop
 from .loopnet import DisturbanceKind, Entity, RingConfig, run_network_session, select_partner
-from .quantumchannel import DetectorParams, DoubleClickPolicy, SourceParams
+from .quantumchannel import ClickOutcome, DetectorParams, DoubleClickPolicy, SourceParams
 from .session import SessionParams, run_session
 
 
@@ -445,7 +445,7 @@ def run(
     pulses: int | None = None,
     partner: str | None = None,
     collect_records: bool = False,
-) -> tuple[RunReport, list[PulseRecord] | None]:
+) -> tuple[RunReport, Transcript | None]:
     """Execute the scenario end to end (two-party loop, or ring with a partner)."""
     t0 = time.perf_counter()
     params = scenario.session_params(seed=seed, pulses=pulses)
@@ -453,11 +453,11 @@ def run(
         chosen = partner or scenario.partner
         if chosen is None:
             raise ScenarioError("ring scenario needs a partner (set ring.partner or --partner)")
-        stats, records = run_network_session(
+        stats, transcript = run_network_session(
             scenario.ring, chosen, params, collect_records=collect_records
         )
     else:
-        stats, records = run_session(scenario.loop, params, collect_records=collect_records)
+        stats, transcript = run_session(scenario.loop, params, collect_records=collect_records)
     report = RunReport(
         digest=scenario.digest,
         seed=params.seed,
@@ -465,7 +465,7 @@ def run(
         stats=stats,
         wall_clock=time.perf_counter() - t0,
     )
-    return report, records
+    return report, transcript
 
 
 def expected_for_scenario(scenario: Scenario, partner: str | None = None):
@@ -793,22 +793,32 @@ _TRANSCRIPT_FIELDS = (
 )
 
 
-def transcript_csv(records: Sequence[PulseRecord]) -> str:
-    lines = [f"# schema loopqkd.transcript.{CSV_SCHEMA_VERSION}", ",".join(_TRANSCRIPT_FIELDS)]
-    for r in records:
-        lines.append(
-            ",".join(
-                (
-                    str(r.index),
-                    str(r.alice_bit),
-                    str(r.alice_basis),
-                    str(r.bob_basis),
-                    _fmt(r.phi_a),
-                    _fmt(r.phi_b),
-                    r.outcome.value,
-                    "1" if r.sifted else "0",
-                    "" if r.decoded_bit is None else str(r.decoded_bit),
-                )
-            )
-        )
+_OUTCOME_NAMES = tuple(o.value for o in ClickOutcome)  # by outcome code
+
+
+def _column(values: np.ndarray, text: Callable[[Any], str] = _fmt) -> list[str]:
+    """``text`` of every element, formatting each distinct value once."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    labels = np.array([text(v) for v in distinct.tolist()], dtype=object)
+    return labels[inverse].tolist()
+
+
+def transcript_csv(transcript: Transcript) -> str:
+    t = transcript
+    columns = (
+        map(str, range(len(t))),
+        _column(t.alice_bits),
+        _column(t.alice_bases),
+        _column(t.bob_bases),
+        _column(t.phi_a),
+        _column(t.phi_b),
+        _column(t.outcome, lambda c: _OUTCOME_NAMES[c]),
+        _column(t.sifted, lambda s: "1" if s else "0"),
+        _column(np.where(t.sifted, t.decoded, -1), lambda b: "" if b < 0 else str(b)),
+    )
+    lines = (
+        f"# schema loopqkd.transcript.{CSV_SCHEMA_VERSION}",
+        ",".join(_TRANSCRIPT_FIELDS),
+        *map(",".join, zip(*columns)),
+    )
     return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bb84 import PulseRecord, SessionStats
+from .bb84 import SessionStats, Transcript
 from .jones import H_POL, IDENTITY, JonesOperator, JonesState
 from .loopmodel import Component, ComponentKind, LoopConfig
 from .session import DisturbanceKind, NoiseTap, SessionParams, run_session
@@ -179,7 +179,7 @@ def run_network_session(
     partner_id: str,
     params: SessionParams,
     collect_records: bool = False,
-) -> tuple[SessionStats, list[PulseRecord] | None]:
+) -> tuple[SessionStats, Transcript | None]:
     """Full protocol session between Bob and the selected ring entity."""
     config = select_partner(ring, partner_id)
     return run_session(config, params, noise=noise_taps(ring, partner_id), collect_records=collect_records)

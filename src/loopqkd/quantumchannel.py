@@ -20,8 +20,6 @@ from .loopmodel import FringeCoefficients, LoopConfig, fringe_coefficients
 
 _MASK64 = (1 << 64) - 1
 
-PROB_SUM_TOL = 1e-9
-
 
 class DoubleClickPolicy(str, Enum):
     DISCARD = "discard"
@@ -29,6 +27,8 @@ class DoubleClickPolicy(str, Enum):
 
 
 class ClickOutcome(Enum):
+    """Gate outcomes, in the order of the engine's outcome codes 0..3."""
+
     NONE = "none"
     D1 = "d1"
     D2 = "d2"
@@ -90,22 +90,14 @@ class RngStream:
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed) & _MASK64
         self.stream = int(stream) & _MASK64
-        self.generator = np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
+        # an explicit uint64 key: a list would pass through int64, and a seed
+        # >= 2**63 would be cast to float64 and collide with its neighbours
+        key = np.array([self.seed, self.stream], dtype=np.uint64)
+        self.generator = np.random.Generator(np.random.Philox(key=key))
 
     def substream(self, purpose: int, index: int = 0) -> "RngStream":
         """Derived stream: purpose tag in the high bits, batch index in the low."""
         return RngStream(self.seed, ((int(purpose) & 0xFFFFFF) << 40) | (int(index) & ((1 << 40) - 1)))
-
-
-@dataclass(frozen=True)
-class ClickDistribution:
-    q_none: float
-    q_d1_only: float
-    q_d2_only: float
-    q_both: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.q_none, self.q_d1_only, self.q_d2_only, self.q_both)
 
 
 def no_click_probabilities(p1, p2, src: SourceParams, det: DetectorParams):
@@ -124,7 +116,7 @@ class ClickLaw:
     no-click probabilities ``a1`` and ``a2``.  This is the one expression of
     the click law: the session engine samples from ``thresholds()`` (per
     choice cell, or per pulse under noise taps), and ``expected_session``
-    and ``click_probabilities`` read the outcome probabilities.
+    reads the outcome probabilities.
     """
 
     a1: np.ndarray | float
@@ -177,43 +169,6 @@ def cell_click_law(
     """
     delta = (phase_table.alice_phases.reshape(4, 1) - phase_table.bob_phases.reshape(1, 2)).reshape(8)
     return ClickLaw.at_phase(delta, fc, src, det)
-
-
-def click_probabilities(
-    p1: float, p2: float, src: SourceParams, det: DetectorParams
-) -> ClickDistribution:
-    """Joint distribution of the four gate outcomes for given port probabilities.
-
-    P(no click at Di) = (1 - dark_prob) * exp(-mu * eta * p_i); the detectors
-    are independent, so the four joint outcomes factorize (``ClickLaw``).
-    """
-    src.validate()
-    det.validate()
-    if not (p1 >= 0.0 and p2 >= 0.0 and p1 + p2 <= 1.0 + PROB_SUM_TOL):
-        raise ValueError(f"port probabilities invalid: p1={p1}, p2={p2}")
-    a1, a2 = no_click_probabilities(p1, p2, src, det)
-    law = ClickLaw(float(a1), float(a2))
-    return ClickDistribution(
-        q_none=law.q_none, q_d1_only=law.q_d1, q_d2_only=law.q_d2, q_both=law.q_both
-    )
-
-
-# Fixed categorical order for sampling: none, d1, d2, both.
-_OUTCOME_ORDER = (ClickOutcome.NONE, ClickOutcome.D1, ClickOutcome.D2, ClickOutcome.BOTH)
-
-
-def sample_pulse(probs: ClickDistribution, rng: RngStream) -> ClickOutcome:
-    """One categorical draw from the four-outcome distribution (one uniform consumed)."""
-    q = probs.as_tuple()
-    if any(x < -PROB_SUM_TOL for x in q) or abs(sum(q) - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"malformed click distribution {q}")
-    u = rng.generator.random()
-    acc = 0.0
-    for outcome, p in zip(_OUTCOME_ORDER, q):
-        acc += p
-        if u < acc:
-            return outcome
-    return ClickOutcome.BOTH
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,11 @@ tap makes the phase difference continuous, so the thresholds are computed
 per pulse from its own phase difference (``ClickLaw.at_phase``).  Both
 paths, and ``expected_session``, evaluate the one expression in
 ``ClickLaw``, so a pulse gets bit-identical thresholds on either path.
+
+Transcripts are columnar: on request the engine keeps each batch's choice,
+phase, outcome and sifting arrays and returns them concatenated as one
+``bb84.Transcript``, a few tens of bytes per pulse and no Python object
+per pulse.
 """
 
 from __future__ import annotations
@@ -45,13 +50,12 @@ from .bb84 import (
     EveConfig,
     EveStrategy,
     PhaseTable,
-    PulseRecord,
     SessionStats,
+    Transcript,
 )
 from .loopmodel import LoopConfig, fringe_coefficients
 from .quantumchannel import (
     ClickLaw,
-    ClickOutcome,
     DetectorParams,
     DoubleClickPolicy,
     RngStream,
@@ -66,8 +70,6 @@ PURPOSE_DISCLOSE = 4
 PURPOSE_NOISE_BASE = 16
 
 DEFAULT_BATCH_SIZE = 1 << 17
-
-_OUTCOME_BY_CODE = (ClickOutcome.NONE, ClickOutcome.D1, ClickOutcome.D2, ClickOutcome.BOTH)
 
 
 class DisturbanceKind(str, Enum):
@@ -109,6 +111,8 @@ class SessionParams:
     batch_size: int = DEFAULT_BATCH_SIZE
 
     def validate(self) -> None:
+        if not (0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.pulses < 1:
             raise ValueError(f"protocol.pulses must be >= 1, got {self.pulses}")
         if not (0.0 < self.disclosed_fraction <= 1.0):
@@ -127,7 +131,7 @@ def run_session(
     params: SessionParams,
     noise: tuple[NoiseTap, ...] = (),
     collect_records: bool = False,
-) -> tuple[SessionStats, list[PulseRecord] | None]:
+) -> tuple[SessionStats, Transcript | None]:
     """Execute a full session: loop optics -> click sampling -> sifting counts.
 
     Deterministic given (config, params, noise); see the module docstring
@@ -136,9 +140,9 @@ def run_session(
     gathered from the 8-cell table built once from ``cell_click_law``;
     with one, they are computed per pulse by ``ClickLaw.at_phase``.  Both
     give the same thresholds for the same phase difference.
-    ``collect_records`` materializes per-pulse protocol records (intended
-    for transcripts and small sessions; memory grows linearly with pulse
-    count).
+    ``collect_records`` also returns the session's columnar ``Transcript``:
+    each batch's arrays are kept and concatenated once at the end, a few
+    tens of bytes per pulse.
     """
     params.validate()
     for tap in noise:
@@ -162,7 +166,7 @@ def run_session(
     sifted_bits = 0
     errors = 0
     disclosed_bits = 0
-    records: list[PulseRecord] | None = [] if collect_records else None
+    batches: list[tuple[np.ndarray, ...]] = []
 
     while pulses_left > 0:
         n = min(params.batch_size, pulses_left)
@@ -211,17 +215,16 @@ def run_session(
         g_detect = root.substream(PURPOSE_DETECT, batch).generator
         u = g_detect.random(n)
         # categorical in fixed order none|d1|d2|both
-        code = (
+        raw_code = (
             (u >= t_none).astype(np.int8)
             + (u >= t_d1).astype(np.int8)
             + (u >= t_d2).astype(np.int8)
         )
-        raw_code = code.copy()
         if policy is DoubleClickPolicy.RANDOM_ASSIGN:
             assign = g_detect.random(n)
-            code = np.where(code == 3, np.where(assign < 0.5, 1, 2).astype(np.int8), code)
+            code = np.where(raw_code == 3, np.where(assign < 0.5, 1, 2).astype(np.int8), raw_code)
         else:
-            code = np.where(code == 3, 0, code).astype(np.int8)
+            code = np.where(raw_code == 3, 0, raw_code).astype(np.int8)
 
         single = (code == 1) | (code == 2)
         matched = alice_bases == bob_bases
@@ -242,22 +245,10 @@ def run_session(
         errors += int(np.count_nonzero(wrong & disclosed_mask))
         disclosed_bits += int(np.count_nonzero(disclosed_mask))
 
-        if records is not None:
-            base_index = params.pulses - pulses_left
-            for i in range(n):
-                records.append(
-                    PulseRecord(
-                        index=base_index + i,
-                        alice_bit=int(alice_bits[i]),
-                        alice_basis=int(alice_bases[i]),
-                        bob_basis=int(bob_bases[i]),
-                        phi_a=float(phi_a[i]),
-                        phi_b=float(phi_b[i]),
-                        outcome=_OUTCOME_BY_CODE[int(raw_code[i])],
-                        sifted=bool(sifted[i]),
-                        decoded_bit=int(decoded[i]) if sifted[i] else None,
-                    )
-                )
+        if collect_records:
+            batches.append(
+                (alice_bits, alice_bases, bob_bases, phi_a, phi_b, raw_code, sifted, decoded)
+            )
 
         pulses_left -= n
         batch += 1
@@ -270,4 +261,5 @@ def run_session(
         disclosed_bits=disclosed_bits,
         rep_rate=params.source.rep_rate,
     )
-    return stats, records
+    transcript = Transcript(*map(np.concatenate, zip(*batches))) if collect_records else None
+    return stats, transcript

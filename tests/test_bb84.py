@@ -9,25 +9,32 @@ from loopqkd.bb84 import (
     EveStrategy,
     PulseRecord,
     SessionStats,
-    alice_choose,
-    bob_choose,
-    build_record,
-    decode,
-    eve_transform,
     sift,
     wilson_interval,
 )
+from loopqkd.jones import rotator
 from loopqkd.loopmodel import PhasePair, detection_probs, standard_loop
 from loopqkd.quantumchannel import (
+    ClickLaw,
     ClickOutcome,
     DetectorParams,
     DoubleClickPolicy,
     RngStream,
     SourceParams,
-    click_probabilities,
+    no_click_probabilities,
 )
+from loopqkd.session import PURPOSE_EVE, SessionParams, run_session
 
 TWO_PI = 2.0 * math.pi
+
+
+def transcript_of(pulses, seed, cfg=None, **params):
+    """The columnar transcript of one session (default: ideal loop, mu 0.3)."""
+    params.setdefault("source", SourceParams(mu=0.3))
+    stats, transcript = run_session(
+        cfg or standard_loop(), SessionParams(pulses=pulses, seed=seed, **params), collect_records=True
+    )
+    return stats, transcript
 
 
 # ---------------------------------------------------------------- phase table
@@ -57,35 +64,38 @@ def test_phase_table_basis_match_structure():
 
 
 def test_choices_match_table():
-    rng = RngStream(3)
-    for _ in range(200):
-        bit, basis, phi = alice_choose(rng)
-        assert phi == PHASE_CODING.alice(basis, bit)
-    for _ in range(200):
-        basis, phi = bob_choose(rng)
-        assert phi == PHASE_CODING.bob(basis)
+    eve = EveConfig(EveStrategy.INTERCEPT_RESEND, fraction=0.5)
+    for seed, params in ((3, {}), (4, {"eve": eve})):
+        _, t = transcript_of(2000, seed, **params)
+        # Alice's column is her own phase, also on pulses Eve re-prepared
+        assert np.array_equal(t.phi_a, PHASE_CODING.alice_phases[t.alice_bases, t.alice_bits])
+        assert np.array_equal(t.phi_b, PHASE_CODING.bob_phases[t.bob_bases])
 
 
 def test_choices_are_uniform():
-    rng = RngStream(4)
-    counts = np.zeros((2, 2))
     n = 100_000
-    for _ in range(n):
-        bit, basis, _ = alice_choose(rng)
-        counts[basis, bit] += 1
+    _, t = transcript_of(n, 4)
+    counts = np.bincount(t.alice_bases * 2 + t.alice_bits, minlength=4)
     assert np.all(np.abs(counts / n - 0.25) < 0.01)
+    assert abs(np.count_nonzero(t.bob_bases) / n - 0.5) < 0.01
 
 
 # ---------------------------------------------------------------- decode
 
 
 def test_decode_mapping():
-    assert decode(ClickOutcome.D1, 0) == 0
-    assert decode(ClickOutcome.D2, 1) == 1
-    assert decode(ClickOutcome.NONE, 0) is None
-    assert decode(ClickOutcome.D1, 0, swap=True) == 1
-    with pytest.raises(ValueError, match="double click"):
-        decode(ClickOutcome.BOTH, 0)
+    # ideal loop, no darks: a sifted click always lands on Alice's bit's
+    # detector, so the detector-to-bit convention alone sets the errors
+    straight, t = transcript_of(20_000, 5)
+    swapped, t_swap = transcript_of(20_000, 5, swap_detector_bits=True)
+    assert straight.sifted_bits == swapped.sifted_bits > 0
+    assert straight.errors == 0
+    assert swapped.errors == swapped.sifted_bits
+    assert np.array_equal(t.sifted, t_swap.sifted)
+    sifted = t.sifted
+    assert np.array_equal(t.decoded[sifted], t.outcome[sifted] - 1)  # d1 -> 0, d2 -> 1
+    assert np.array_equal(t_swap.decoded[sifted], 2 - t.outcome[sifted])
+    assert np.array_equal(t.decoded[sifted], t.alice_bits[sifted])
 
 
 def test_matched_basis_ideal_optics_is_deterministic():
@@ -96,41 +106,39 @@ def test_matched_basis_ideal_optics_is_deterministic():
         for bit in (0, 1):
             phases = PhasePair(PHASE_CODING.alice(basis, bit), PHASE_CODING.bob(basis))
             p1, p2 = detection_probs(cfg, phases)
-            d = click_probabilities(p1, p2, src, det)
-            assert d.q_both == 0.0
+            law = ClickLaw(*no_click_probabilities(p1, p2, src, det))
+            assert law.q_both == 0.0
             if bit == 0:
-                assert d.q_d2_only == 0.0  # every click decodes to 0 == bit
+                assert law.q_d2 == 0.0  # every click decodes to 0 == bit
             else:
-                assert d.q_d1_only == 0.0  # every click decodes to 1 == bit
+                assert law.q_d1 == 0.0  # every click decodes to 1 == bit
 
 
 # ---------------------------------------------------------------- eve
 
 
 def test_eve_off_and_zero_fraction_pass_through():
-    assert eve_transform(1.3, 0, EveConfig(), RngStream(5)) == 1.3
-    cfg = EveConfig(EveStrategy.INTERCEPT_RESEND, fraction=0.0)
-    rng = RngStream(5)
-    for _ in range(100):
-        assert eve_transform(0.7, 0, cfg, rng) == 0.7
+    # on the ideal loop only an attacked pulse can carry an error
+    for eve in (EveConfig(), EveConfig(EveStrategy.INTERCEPT_RESEND, fraction=0.0)):
+        stats, _ = transcript_of(50_000, 5, eve=eve)
+        assert stats.sifted_bits > 0 and stats.errors == 0
+    attacked, _ = transcript_of(50_000, 5, eve=EveConfig(EveStrategy.INTERCEPT_RESEND, fraction=1.0))
+    assert attacked.errors > 0
 
 
 def test_eve_same_basis_is_transparent():
-    cfg = EveConfig(EveStrategy.INTERCEPT_RESEND, fraction=1.0)
-    rng = RngStream(6)
-    seen_same_basis = 0
-    for basis in (0, 1):
-        for bit in (0, 1):
-            phi = PHASE_CODING.alice(basis, bit)
-            for _ in range(200):
-                out = eve_transform(phi, basis, cfg, rng)
-                # re-prepared phase is always a valid table phase
-                assert any(
-                    abs(out - PHASE_CODING.alice(b, v)) < 1e-12 for b in (0, 1) for v in (0, 1)
-                )
-                if out == phi:
-                    seen_same_basis += 1
-    assert seen_same_basis > 0
+    n, seed = 100_000, 6
+    _, t = transcript_of(n, seed, eve=EveConfig(EveStrategy.INTERCEPT_RESEND, fraction=1.0))
+    # Eve's bases, re-derived from her substream: attack coins, then bases
+    g_eve = RngStream(seed).substream(PURPOSE_EVE, 0).generator
+    g_eve.random(n)
+    eve_bases = g_eve.integers(0, 2, size=n)
+    same = t.sifted & (eve_bases == t.alice_bases)
+    other = t.sifted & (eve_bases != t.alice_bases)
+    assert np.count_nonzero(same) > 1000
+    assert np.array_equal(t.decoded[same], t.alice_bits[same])
+    wrong = np.count_nonzero(t.decoded[other] != t.alice_bits[other])
+    assert wrong / np.count_nonzero(other) == pytest.approx(0.5, abs=0.03)
 
 
 def test_intercept_resend_error_rate_by_enumeration():
@@ -157,12 +165,26 @@ def test_intercept_resend_error_rate_by_enumeration():
 # ---------------------------------------------------------------- sift
 
 
-def _record(i, bit, a_basis, b_basis, outcome, policy=DoubleClickPolicy.DISCARD, assign=None):
-    return build_record(i, bit, a_basis, b_basis, outcome, policy, assign)
+def _record(i, bit, a_basis, b_basis, outcome, decoded=None):
+    """A protocol record; it is sifted exactly when it carries a decoded bit."""
+    return PulseRecord(
+        index=i,
+        alice_bit=bit,
+        alice_basis=a_basis,
+        bob_basis=b_basis,
+        phi_a=PHASE_CODING.alice(a_basis, bit),
+        phi_b=PHASE_CODING.bob(b_basis),
+        outcome=outcome,
+        sifted=decoded is not None,
+        decoded_bit=decoded,
+    )
 
 
 def test_sift_all_matched_ideal():
-    records = [_record(i, i % 2, 0, 0, ClickOutcome.D1 if i % 2 == 0 else ClickOutcome.D2) for i in range(100)]
+    records = [
+        _record(i, i % 2, 0, 0, ClickOutcome.D1 if i % 2 == 0 else ClickOutcome.D2, decoded=i % 2)
+        for i in range(100)
+    ]
     result = sift(records, rep_rate=100e3)
     assert np.array_equal(result.alice_key, result.bob_key)
     assert result.stats.qber == 0.0
@@ -172,7 +194,7 @@ def test_sift_all_matched_ideal():
 
 def test_sift_drops_mismatched_and_empty():
     records = [
-        _record(0, 0, 0, 0, ClickOutcome.D1),
+        _record(0, 0, 0, 0, ClickOutcome.D1, decoded=0),
         _record(1, 0, 0, 1, ClickOutcome.D1),  # basis mismatch
         _record(2, 0, 0, 0, ClickOutcome.NONE),  # no click
         _record(3, 1, 1, 1, ClickOutcome.BOTH),  # double click, discard policy
@@ -181,15 +203,25 @@ def test_sift_drops_mismatched_and_empty():
     assert result.stats.sifted_bits == 1
     assert result.stats.raw_clicks == 3
     assert result.stats.pulses_sent == 4
+    with pytest.raises(ValueError, match="no decoded bit"):
+        sift([PulseRecord(0, 0, 0, 0, 0.0, 0.0, ClickOutcome.D1, True, None)], rep_rate=1.0)
 
 
 def test_sift_double_click_random_assignment():
-    r = _record(0, 1, 0, 0, ClickOutcome.BOTH, DoubleClickPolicy.RANDOM_ASSIGN, assign=0.9)
-    assert r.sifted and r.decoded_bit == 1
-    r = _record(0, 1, 0, 0, ClickOutcome.BOTH, DoubleClickPolicy.RANDOM_ASSIGN, assign=0.1)
-    assert r.sifted and r.decoded_bit == 0
-    with pytest.raises(ValueError, match="assignment draw"):
-        build_record(0, 1, 0, 0, ClickOutcome.BOTH, DoubleClickPolicy.RANDOM_ASSIGN)
+    # bright pulses on a misaligned loop give double clicks in matched bases
+    cfg = standard_loop(delay_jones=rotator(0.3))
+    base = dict(source=SourceParams(mu=2.0))
+    _, kept = transcript_of(
+        20_000, 9, cfg, detectors=DetectorParams(double_click_policy=DoubleClickPolicy.RANDOM_ASSIGN), **base
+    )
+    _, dropped = transcript_of(20_000, 9, cfg, **base)
+    # the assignment coins follow the outcome coins, so raw outcomes agree
+    assert np.array_equal(kept.outcome, dropped.outcome)
+    double = (kept.outcome == 3) & (kept.alice_bases == kept.bob_bases)
+    assert np.count_nonzero(double) > 500
+    assert np.all(kept.sifted[double]) and not np.any(dropped.sifted[double])
+    ones = np.count_nonzero(kept.decoded[double]) / np.count_nonzero(double)
+    assert ones == pytest.approx(0.5, abs=0.05)
 
 
 def test_sift_zero_bits_flags_undefined_qber():
@@ -201,7 +233,7 @@ def test_sift_zero_bits_flags_undefined_qber():
 
 
 def test_sift_disclosed_subset():
-    records = [_record(i, 0, 0, 0, ClickOutcome.D1) for i in range(1000)]
+    records = [_record(i, 0, 0, 0, ClickOutcome.D1, decoded=0) for i in range(1000)]
     result = sift(records, rep_rate=1.0, disclosed_fraction=0.3, rng=RngStream(8))
     assert 200 < result.stats.disclosed_bits < 400
     assert result.stats.sifted_bits == 1000

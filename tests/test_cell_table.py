@@ -17,11 +17,11 @@ from loopqkd.bb84 import PHASE_CODING
 from loopqkd.jones import rotator
 from loopqkd.loopmodel import fringe_coefficients, standard_loop
 from loopqkd.quantumchannel import (
+    ClickLaw,
     DetectorParams,
     DoubleClickPolicy,
     SourceParams,
     cell_click_law,
-    click_probabilities,
     expected_session,
     no_click_probabilities,
 )
@@ -63,16 +63,16 @@ def per_cell_expected(cfg, table, src, det):
             for b_basis in (0, 1):
                 delta = table.alice(a_basis, a_bit) - table.bob(b_basis)
                 p1, p2 = fc.probs(delta % (2.0 * math.pi))
-                d = click_probabilities(p1, p2, src, det)
-                clicks += w * (d.q_d1_only + d.q_d2_only + d.q_both)
+                d = ClickLaw(*no_click_probabilities(p1, p2, src, det))
+                clicks += w * (d.q_d1 + d.q_d2 + d.q_both)
                 if a_basis != b_basis:
                     continue
-                wrong = d.q_d2_only if a_bit == 0 else d.q_d1_only
+                wrong = d.q_d2 if a_bit == 0 else d.q_d1
                 if det.double_click_policy is DoubleClickPolicy.DISCARD:
-                    sifted += w * (d.q_d1_only + d.q_d2_only)
+                    sifted += w * (d.q_d1 + d.q_d2)
                     errors += w * wrong
                 else:
-                    sifted += w * (d.q_d1_only + d.q_d2_only + d.q_both)
+                    sifted += w * (d.q_d1 + d.q_d2 + d.q_both)
                     errors += w * (wrong + 0.5 * d.q_both)
     return sifted, errors, clicks
 

@@ -61,6 +61,14 @@ def test_validation_failures_exit_1(tmp_path, capsys):
     assert main(["calibrate", IDEAL, "--target-raw", "-5", "--target-qber", "0.05"]) == 1
 
 
+def test_out_of_range_seed_exits_1(tmp_path, capsys):
+    for seed in ("-1", str(2**64)):
+        out = tmp_path / "r.csv"
+        assert main(["run", IDEAL, "--pulses", "100", "--seed", seed, "--out", str(out)]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_usage_errors_exit_1():
     assert main(["sweep", IDEAL, "--grid", "0:1:2"]) == 1  # missing --axis
     assert main(["no-such-command"]) == 1

@@ -6,7 +6,8 @@ and no-click exponentials evaluated on every pulse).  The engine's cell
 table and its noise-tap path must reproduce those bytes exactly, at the
 default seeds of the shipped scenarios and on a test-local ring that puts a
 noise tap, an eavesdropper, ``random_assign`` and a disclosed subset below
-one to work together.
+one to work together.  A direct ``run_session`` transcript covers what the
+CLI cases do not: several batches and ``swap_detector_bits``.
 """
 
 import hashlib
@@ -14,7 +15,13 @@ from pathlib import Path
 
 import pytest
 
+from loopqkd.bb84 import EveConfig, EveStrategy
 from loopqkd.cli import main
+from loopqkd.harness import transcript_csv
+from loopqkd.jones import rotator
+from loopqkd.loopmodel import standard_loop
+from loopqkd.quantumchannel import DetectorParams, DoubleClickPolicy, SourceParams
+from loopqkd.session import SessionParams, run_session
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -109,3 +116,28 @@ def run_case(case: str, tmp_path: Path) -> dict[str, str]:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_output_bytes_match_golden(case, tmp_path):
     assert run_case(case, tmp_path) == CASES[case][1]
+
+
+# 5003 pulses in batches of 1 << 10: four full batches and a short one,
+# each on its own substreams, with Eve, random_assign, swapped detector
+# bits and a disclosed subset of one half.
+MULTI_BATCH_TRANSCRIPT = "b8720070ac46186f0054e65d4a7ac3e2acb2a5f3ad43a6de12bafd8b301380b4"
+
+
+def test_multi_batch_transcript_matches_golden():
+    cfg = standard_loop(delay_jones=rotator(0.2), attenuator_transmittance=0.8)
+    params = SessionParams(
+        pulses=5003,
+        seed=2718,
+        source=SourceParams(mu=0.8),
+        detectors=DetectorParams(
+            efficiency=0.7, dark_prob=1e-3, double_click_policy=DoubleClickPolicy.RANDOM_ASSIGN
+        ),
+        eve=EveConfig(EveStrategy.INTERCEPT_RESEND, fraction=0.3),
+        disclosed_fraction=0.5,
+        swap_detector_bits=True,
+        batch_size=1 << 10,
+    )
+    _, transcript = run_session(cfg, params, collect_records=True)
+    text = transcript_csv(transcript)
+    assert hashlib.sha256(text.encode()).hexdigest() == MULTI_BATCH_TRANSCRIPT

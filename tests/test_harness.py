@@ -318,8 +318,8 @@ def test_csv_formats_nine_significant_digits():
 
 def test_transcript_csv_round_trips_outcomes():
     sc = load_scenario(str(SCENARIOS / "paper_ideal.yaml"))
-    report, records = run(sc, pulses=500, collect_records=True)
-    text = transcript_csv(records)
+    report, transcript = run(sc, pulses=500, collect_records=True)
+    text = transcript_csv(transcript)
     lines = text.splitlines()
     assert lines[0] == "# schema loopqkd.transcript.v1"
     assert len(lines) == 502

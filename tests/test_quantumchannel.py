@@ -1,22 +1,30 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopqkd.bb84 import PHASE_CODING
-from loopqkd.loopmodel import standard_loop
+from loopqkd.jones import rotator
+from loopqkd.loopmodel import fringe_coefficients, standard_loop
 from loopqkd.quantumchannel import (
-    ClickDistribution,
-    ClickOutcome,
+    ClickLaw,
     DetectorParams,
     DoubleClickPolicy,
     RngStream,
     SourceParams,
-    click_probabilities,
+    cell_click_law,
     expected_session,
-    sample_pulse,
+    no_click_probabilities,
 )
+from loopqkd.session import SessionParams, run_session
+
+
+def outcome_probs(p1, p2, src, det):
+    """(none, d1 only, d2 only, both) for given port probabilities."""
+    law = ClickLaw(*no_click_probabilities(p1, p2, src, det))
+    return (law.q_none, law.q_d1, law.q_d2, law.q_both)
 
 
 def truncated_poisson_oracle(p1, p2, mu, eta, dark, n_max=40):
@@ -35,20 +43,22 @@ def truncated_poisson_oracle(p1, p2, mu, eta, dark, n_max=40):
     return (q_none, a2 - q_none, a1 - q_none, 1.0 - a1 - a2 + q_none)
 
 
-# ------------------------------------------------------- click_probabilities
+# ------------------------------------------------------------ click law
 
 
 def test_no_light_no_darks():
-    d = click_probabilities(0.5, 0.5, SourceParams(mu=0.0), DetectorParams())
-    assert d.as_tuple() == pytest.approx((1.0, 0.0, 0.0, 0.0), abs=1e-15)
+    q = outcome_probs(0.5, 0.5, SourceParams(mu=0.0), DetectorParams())
+    assert q == pytest.approx((1.0, 0.0, 0.0, 0.0), abs=1e-15)
 
 
 def test_weak_pulse_single_port():
-    d = click_probabilities(1.0, 0.0, SourceParams(mu=0.1), DetectorParams(efficiency=1.0))
-    assert d.q_d1_only == pytest.approx(1.0 - math.exp(-0.1), abs=1e-12)
-    assert d.q_d1_only == pytest.approx(0.095163, abs=1e-6)
-    assert d.q_d2_only == 0.0
-    assert d.q_both == 0.0
+    _, q_d1, q_d2, q_both = outcome_probs(
+        1.0, 0.0, SourceParams(mu=0.1), DetectorParams(efficiency=1.0)
+    )
+    assert q_d1 == pytest.approx(1.0 - math.exp(-0.1), abs=1e-12)
+    assert q_d1 == pytest.approx(0.095163, abs=1e-6)
+    assert q_d2 == 0.0
+    assert q_both == 0.0
 
 
 def test_matches_truncated_poisson_expansion():
@@ -59,11 +69,11 @@ def test_matches_truncated_poisson_expansion():
         mu = rng.uniform(0.0, 1.0)
         eta = rng.uniform(0.0, 1.0)
         dark = rng.uniform(0.0, 0.01)
-        got = click_probabilities(
+        got = outcome_probs(
             p1, p2, SourceParams(mu=mu), DetectorParams(efficiency=eta, dark_prob=dark)
         )
         want = truncated_poisson_oracle(p1, p2, mu, eta, dark)
-        assert got.as_tuple() == pytest.approx(want, abs=1e-10)
+        assert got == pytest.approx(want, abs=1e-10)
 
 
 @settings(max_examples=200, deadline=None)
@@ -75,8 +85,7 @@ def test_matches_truncated_poisson_expansion():
     st.floats(0.0, 0.99),
 )
 def test_distribution_normalized_and_bounded(p1, p2, mu, eta, dark):
-    d = click_probabilities(p1, p2, SourceParams(mu=mu), DetectorParams(efficiency=eta, dark_prob=dark))
-    q = d.as_tuple()
+    q = outcome_probs(p1, p2, SourceParams(mu=mu), DetectorParams(efficiency=eta, dark_prob=dark))
     assert abs(sum(q) - 1.0) < 1e-12
     assert all(0.0 <= x <= 1.0 for x in q)
 
@@ -92,10 +101,10 @@ def test_distribution_normalized_and_bounded(p1, p2, mu, eta, dark):
 )
 def test_click_probability_monotone(p1, p2, mu, eta, dark, bump):
     def p_click_1(mu_, eta_, dark_):
-        d = click_probabilities(
+        _, q_d1, _, q_both = outcome_probs(
             p1, p2, SourceParams(mu=mu_), DetectorParams(efficiency=eta_, dark_prob=dark_)
         )
-        return d.q_d1_only + d.q_both
+        return q_d1 + q_both
 
     base = p_click_1(mu, eta, dark)
     assert p_click_1(mu + bump, eta, dark) >= base - 1e-12
@@ -104,52 +113,44 @@ def test_click_probability_monotone(p1, p2, mu, eta, dark, bump):
 
 
 def test_invalid_inputs_rejected():
-    with pytest.raises(ValueError):
-        click_probabilities(0.7, 0.7, SourceParams(), DetectorParams())
-    with pytest.raises(ValueError):
-        click_probabilities(-0.1, 0.0, SourceParams(), DetectorParams())
     with pytest.raises(ValueError, match="mu"):
-        click_probabilities(0.5, 0.5, SourceParams(mu=-1.0), DetectorParams())
+        SourceParams(mu=-1.0).validate()
     with pytest.raises(ValueError, match="efficiency"):
-        click_probabilities(0.5, 0.5, SourceParams(), DetectorParams(efficiency=1.5))
+        DetectorParams(efficiency=1.5).validate()
+    with pytest.raises(ValueError, match="dark_prob"):
+        DetectorParams(dark_prob=1.0).validate()
 
 
 # ---------------------------------------------------------------- sampling
 
 
+def categorical(u, law):
+    """The engine's outcome code: how many of the law's thresholds u passes."""
+    return sum((u >= t).astype(np.int8) for t in law.thresholds())
+
+
 def test_sample_pulse_point_distributions():
-    rng = RngStream(1)
-    assert sample_pulse(ClickDistribution(1, 0, 0, 0), rng) is ClickOutcome.NONE
-    assert sample_pulse(ClickDistribution(0, 1, 0, 0), rng) is ClickOutcome.D1
-    assert sample_pulse(ClickDistribution(0, 0, 1, 0), rng) is ClickOutcome.D2
-    assert sample_pulse(ClickDistribution(0, 0, 0, 1), rng) is ClickOutcome.BOTH
+    u = np.linspace(0.0, 1.0, 1001, endpoint=False)
+    # (a1, a2) no-click probabilities that put all mass on one outcome
+    for code, (a1, a2) in enumerate(((1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0))):
+        assert np.all(categorical(u, ClickLaw(a1, a2)) == code)
 
 
 def test_sample_pulse_law_of_large_numbers():
-    rng = RngStream(42)
-    dist = ClickDistribution(0.25, 0.25, 0.25, 0.25)
-    # one generator-level uniform per draw; sample in bulk for speed
-    u = rng.generator.random(1_000_000)
-    codes = (u >= 0.25).astype(int) + (u >= 0.5).astype(int) + (u >= 0.75).astype(int)
-    freqs = np.bincount(codes, minlength=4) / len(u)
-    assert np.all(np.abs(freqs - 0.25) < 0.002)
-    # scalar path agrees with the bulk cumulative convention
-    rng2 = RngStream(42)
-    for i in range(2000):
-        outcome = sample_pulse(dist, rng2)
-        assert outcome.value == ("none", "d1", "d2", "both")[codes[i]]
-
-
-def test_sample_pulse_rejects_malformed():
-    with pytest.raises(ValueError):
-        sample_pulse(ClickDistribution(0.5, 0.5, 0.5, 0.5), RngStream(1))
-
-
-def test_sample_pulse_consumes_exactly_one_draw():
-    a, b = RngStream(7), RngStream(7)
-    sample_pulse(ClickDistribution(0.25, 0.25, 0.25, 0.25), a)
-    b.generator.random()  # discard one
-    assert a.generator.random() == b.generator.random()
+    # the engine's outcome frequencies in each choice cell follow its click law
+    cfg = standard_loop(delay_jones=rotator(0.3), attenuator_transmittance=0.8)
+    src = SourceParams(mu=1.0)
+    det = DetectorParams(efficiency=0.7, dark_prob=0.01)
+    n = 400_000
+    _, t = run_session(cfg, SessionParams(pulses=n, seed=42, source=src, detectors=det), collect_records=True)
+    law = cell_click_law(fringe_coefficients(cfg), PHASE_CODING, src, det)
+    cell = (t.alice_bases * 2 + t.alice_bits) * 2 + t.bob_bases
+    for c in range(8):
+        codes = t.outcome[cell == c]
+        freqs = np.bincount(codes, minlength=4) / len(codes)
+        q = np.array([law.q_none[c], law.q_d1[c], law.q_d2[c], law.q_both[c]])
+        sd = np.sqrt(q * (1.0 - q) / len(codes))
+        assert np.all(np.abs(freqs - q) <= 4.0 * sd + 1e-12)
 
 
 # ---------------------------------------------------------------- RngStream
@@ -167,6 +168,26 @@ def test_rng_substreams_are_independent_and_stable():
     s2 = root.substream(2, 0).generator.random(10)
     assert not np.array_equal(s1, s2)
     assert np.array_equal(s1, RngStream(99).substream(1, 0).generator.random(10))
+
+
+def test_rng_seeds_above_int64_draw_distinct_streams():
+    def draws(seed):
+        return RngStream(seed).substream(1, 0).generator.random(4)
+
+    assert not np.array_equal(draws(2**63), draws(2**63 + 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        top = draws(2**64 - 1)
+    assert not np.array_equal(top, draws(0))
+    assert not np.array_equal(top, draws(2**64 - 2))
+
+
+def test_rng_keys_below_int64_unchanged():
+    # the uint64 key reproduces the streams a list key gave below 2**63
+    rng = np.random.default_rng(3)
+    for seed, stream in rng.integers(0, 2**63, size=(50, 2), dtype=np.uint64).tolist():
+        old = np.random.Generator(np.random.Philox(key=[seed, stream])).random(4)
+        assert np.array_equal(RngStream(seed, stream).generator.random(4), old)
 
 
 # ---------------------------------------------------------- expected_session

@@ -1,12 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from loopqkd.bb84 import PHASE_CODING, EveConfig, EveStrategy, sift
+from loopqkd.bb84 import PHASE_CODING, EveConfig, EveStrategy, PulseRecord, sift
+from loopqkd.harness import transcript_csv
 from loopqkd.jones import rotator
 from loopqkd.loopmodel import standard_loop
 from loopqkd.quantumchannel import (
+    ClickOutcome,
     DetectorParams,
     DoubleClickPolicy,
     SourceParams,
@@ -57,6 +60,29 @@ def test_multi_batch_session_matches_closed_form():
     assert abs(stats.qber - exp.qber) < qber_tol
 
 
+def parse_transcript(text):
+    """The transcript CSV's rows, read back as ``PulseRecord``s."""
+    lines = text.splitlines()
+    assert lines[0] == "# schema loopqkd.transcript.v1"
+    records = []
+    for line in lines[2:]:
+        v = line.split(",")
+        records.append(
+            PulseRecord(
+                index=int(v[0]),
+                alice_bit=int(v[1]),
+                alice_basis=int(v[2]),
+                bob_basis=int(v[3]),
+                phi_a=float(v[4]),
+                phi_b=float(v[5]),
+                outcome=ClickOutcome(v[6]),
+                sifted=v[7] == "1",
+                decoded_bit=int(v[8]) if v[8] else None,
+            )
+        )
+    return records
+
+
 def test_engine_counts_agree_with_record_sift():
     cfg = standard_loop(delay_jones=rotator(0.25), attenuator_transmittance=0.7)
     params = SessionParams(
@@ -68,8 +94,10 @@ def test_engine_counts_agree_with_record_sift():
         ),
         eve=EveConfig(EveStrategy.INTERCEPT_RESEND, fraction=0.3),
     )
-    stats, records = run_session(cfg, params, collect_records=True)
-    assert records is not None and len(records) == 20_000
+    stats, transcript = run_session(cfg, params, collect_records=True)
+    assert transcript is not None and len(transcript) == 20_000
+    records = parse_transcript(transcript_csv(transcript))
+    assert [r.index for r in records] == list(range(20_000))
     resifted = sift(records, rep_rate=params.source.rep_rate)
     assert resifted.stats.raw_clicks == stats.raw_clicks
     assert resifted.stats.sifted_bits == stats.sifted_bits
@@ -103,14 +131,15 @@ def test_monte_carlo_matches_closed_form(mu, eta, dark, angle, att, policy):
 def test_eve_fraction_zero_identical_to_off():
     cfg = standard_loop()
     base = dict(pulses=30_000, seed=31, source=SourceParams(mu=0.3))
-    s_off, r_off = run_session(cfg, SessionParams(**base), collect_records=True)
-    s_zero, r_zero = run_session(
+    s_off, t_off = run_session(cfg, SessionParams(**base), collect_records=True)
+    s_zero, t_zero = run_session(
         cfg,
         SessionParams(**base, eve=EveConfig(EveStrategy.INTERCEPT_RESEND, fraction=0.0)),
         collect_records=True,
     )
     assert s_off == s_zero
-    assert r_off == r_zero
+    for column in dataclasses.fields(t_off):
+        assert np.array_equal(getattr(t_off, column.name), getattr(t_zero, column.name))
 
 
 def test_intercept_resend_quarter_error_rate():
@@ -217,6 +246,10 @@ def test_noise_tap_gaussian_matches_expectation():
 
 
 def test_session_params_validation():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            SessionParams(pulses=10, seed=seed).validate()
+    SessionParams(pulses=10, seed=2**64 - 1).validate()
     with pytest.raises(ValueError, match="pulses"):
         SessionParams(pulses=0, seed=1).validate()
     with pytest.raises(ValueError, match="disclosed_fraction"):
