@@ -1,5 +1,7 @@
 import copy
+import hashlib
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,8 @@ from loopqkd.harness import (
 )
 from loopqkd.loopmodel import fringe_coefficients
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def write_scenario(tmp_path, text, name="s.yaml"):
@@ -115,6 +118,310 @@ def test_ring_scenario_loads_and_validates():
                 }
             }
         )
+
+
+# ---------------------------------------------------------------- malformed scenarios
+
+_RING = {"entities": [{"id": "a"}], "link_lengths": [1.0, 1.0]}
+
+
+def _ring(**fields):
+    return {"ring": {**_RING, **fields}}
+
+
+def _entity(**fields):
+    return _ring(entities=[{"id": "a", **fields}])
+
+
+def _loop(**fields):
+    return {"loop": fields}
+
+
+# Every raise site of the scenario parser, each with its exact message.
+MALFORMED = {
+    # non-mapping nodes
+    "top_not_mapping": ([1, 2], "scenario: expected a mapping, got list"),
+    "source_not_mapping": ({"source": 3}, "source: expected a mapping, got int"),
+    "protocol_not_mapping": ({"protocol": "fast"}, "protocol: expected a mapping, got str"),
+    "loop_not_mapping": ({"loop": [1]}, "loop: expected a mapping, got list"),
+    "ring_not_mapping": ({"ring": [1]}, "ring: expected a mapping, got list"),
+    "entity_not_mapping": (
+        _ring(entities=["a"]),
+        "ring.entities[0]: expected a mapping, got str",
+    ),
+    "jones_not_mapping": (
+        _loop(upper_jones=5),
+        "loop.upper_jones: expected a mapping, got int",
+    ),
+    # unknown keys
+    "top_unknown": (
+        {"sead": 1},
+        "scenario: unknown key(s) 'sead'; "
+        "allowed: seed, source, detectors, protocol, loop, eve, ring",
+    ),
+    "loop_and_ring": (
+        {"loop": {}, "ring": _RING},
+        "scenario: give either a loop or a ring section, not both",
+    ),
+    "source_unknown": (
+        {"source": {"brightness": 3}},
+        "source: unknown key(s) 'brightness'; allowed: mu, rep_rate, wavelength",
+    ),
+    "detectors_unknown": (
+        {"detectors": {"gain": 1}},
+        "detectors: unknown key(s) 'gain'; allowed: efficiency, dark_prob",
+    ),
+    "protocol_unknown": (
+        {"protocol": {"rounds": 1}},
+        "protocol: unknown key(s) 'rounds'; "
+        "allowed: pulses, double_click_policy, disclosed_fraction",
+    ),
+    "eve_unknown": (
+        {"eve": {"power": 1}},
+        "eve: unknown key(s) 'power'; allowed: strategy, fraction",
+    ),
+    "loop_unknown": (
+        _loop(upper_fibre=100),
+        "loop: unknown key(s) 'upper_fibre'; allowed: upper_length, lower_length, "
+        "delay_length, loss_db_per_km, coupler_ratio, attenuator_transmittance, "
+        "source_pol, upper_jones, lower_jones, delay_jones",
+    ),
+    "ring_unknown": (
+        _ring(hub="b"),
+        "ring: unknown key(s) 'hub'; allowed: partner, entities, link_lengths, "
+        "delay_length, loss_db_per_km, coupler_ratio",
+    ),
+    "entity_unknown": (
+        _entity(colour="red"),
+        "ring.entities[0]: unknown key(s) 'colour'; allowed: id, attenuator_transmittance, "
+        "insertion_transmittance, disturbance_sigma, disturbance_kind",
+    ),
+    "identity_unknown": (
+        _loop(upper_jones={"angle": 1.0}),
+        "loop.upper_jones: unknown key(s) 'angle'; allowed: kind",
+    ),
+    "rotation_unknown": (
+        _loop(lower_jones={"kind": "rotation", "delta": 1.0}),
+        "loop.lower_jones: unknown key(s) 'delta'; allowed: kind, angle",
+    ),
+    "retarder_unknown": (
+        _loop(delay_jones={"kind": "retarder", "angle": 1.0}),
+        "loop.delay_jones: unknown key(s) 'angle'; allowed: kind, delta, theta",
+    ),
+    "random_unitary_unknown": (
+        _loop(delay_jones={"kind": "random_unitary", "angle": 1.0}),
+        "loop.delay_jones: unknown key(s) 'angle'; allowed: kind, seed",
+    ),
+    # integers and numbers
+    "seed_bool": ({"seed": True}, "scenario.seed: expected an integer, got True"),
+    "seed_float": ({"seed": 1.5}, "scenario.seed: expected an integer, got 1.5"),
+    "pulses_float": (
+        {"protocol": {"pulses": 2.0}},
+        "protocol.pulses: expected an integer, got 2.0",
+    ),
+    "jones_seed_bool": (
+        _loop(upper_jones={"kind": "random_unitary", "seed": False}),
+        "loop.upper_jones.seed: expected an integer, got False",
+    ),
+    "mu_str": ({"source": {"mu": "0.1"}}, "source.mu: expected a number, got '0.1'"),
+    "mu_null": ({"source": {"mu": None}}, "source.mu: expected a number, got None"),
+    "upper_length_str": (
+        _loop(upper_length="x"),
+        "loop.upper_length: expected a number, got 'x'",
+    ),
+    "angle_str": (
+        _loop(delay_jones={"kind": "rotation", "angle": "x"}),
+        "loop.delay_jones.angle: expected a number, got 'x'",
+    ),
+    "ring_delay_str": (_ring(delay_length="x"), "ring.delay_length: expected a number, got 'x'"),
+    "entity_attenuator_str": (
+        _entity(attenuator_transmittance="1"),
+        "ring.entities[0].attenuator_transmittance: expected a number, got '1'",
+    ),
+    # choices
+    "policy_choice": (
+        {"protocol": {"double_click_policy": "keep"}},
+        "protocol.double_click_policy: expected one of ('discard', 'random_assign'), got 'keep'",
+    ),
+    "eve_choice": (
+        {"eve": {"strategy": "mitm"}},
+        "eve.strategy: expected one of ('off', 'intercept_resend'), got 'mitm'",
+    ),
+    "eve_choice_bare_on": (
+        {"eve": {"strategy": True}},
+        "eve.strategy: expected one of ('off', 'intercept_resend'), got True",
+    ),
+    "disturbance_kind_choice": (
+        _entity(disturbance_kind="pink"),
+        "ring.entities[0].disturbance_kind: expected one of ('gaussian', 'uniform'), got 'pink'",
+    ),
+    "jones_kind_choice": (
+        _loop(upper_jones={"kind": "mirror"}),
+        "loop.upper_jones.kind: expected one of "
+        "('identity', 'rotation', 'retarder', 'random_unitary'), got 'mirror'",
+    ),
+    # source polarization
+    "source_pol_shape": (
+        _loop(source_pol=[[1.0, 0.0]]),
+        "loop.source_pol: expected [[re_x, im_x], [re_y, im_y]]",
+    ),
+    "source_pol_entries": (
+        _loop(source_pol=[["a", 0.0], [0.0, 0.0]]),
+        "loop.source_pol: entries must be numbers (could not convert string to float: 'a')",
+    ),
+    "source_pol_normalization": (
+        _loop(source_pol=[[1.0, 0.0], [1.0, 0.0]]),
+        "loop.source_pol: polarization must be normalized, |s|^2 = 2",
+    ),
+    # ring entities, links and partner
+    "entities_absent": (
+        {"ring": {"link_lengths": [1.0]}},
+        "ring.entities: expected a non-empty list",
+    ),
+    "entities_empty": (_ring(entities=[]), "ring.entities: expected a non-empty list"),
+    "entities_not_list": (_ring(entities={"id": "a"}), "ring.entities: expected a non-empty list"),
+    "entity_id_missing": (_ring(entities=[{}]), "ring.entities[0].id: expected a non-empty string"),
+    "entity_id_empty": (
+        _ring(entities=[{"id": ""}]),
+        "ring.entities[0].id: expected a non-empty string",
+    ),
+    "entity_id_not_str": (
+        _ring(entities=[{"id": 3}]),
+        "ring.entities[0].id: expected a non-empty string",
+    ),
+    "entity_id_duplicate": (
+        _ring(entities=[{"id": "a"}, {"id": "a"}], link_lengths=[1.0, 1.0, 1.0]),
+        "duplicate entity ids in ring: ['a', 'a']",
+    ),
+    "link_lengths_not_list": (
+        _ring(link_lengths="100"),
+        "ring.link_lengths: expected a list of lengths in meters",
+    ),
+    "link_lengths_entry": (
+        _ring(link_lengths=[1.0, "x"]),
+        "ring.link_lengths[1]: expected a number, got 'x'",
+    ),
+    "link_lengths_count": (
+        _ring(link_lengths=[1.0]),
+        "ring with 1 entities needs 2 link fibers, got 1",
+    ),
+    "link_lengths_negative": (
+        _ring(link_lengths=[-1.0, 1.0]),
+        "link length must be >= 0, got -1.0",
+    ),
+    "partner_unknown": (_ring(partner="nobody"), "ring.partner: 'nobody' not in ring (a)"),
+    "partner_not_str": (_ring(partner=3), "ring.partner: 3 not in ring (a)"),
+    # seed range
+    "seed_negative": ({"seed": -1}, "scenario.seed must fit in 64 bits, got -1"),
+    "seed_2_64": (
+        {"seed": 2**64},
+        "scenario.seed must fit in 64 bits, got 18446744073709551616",
+    ),
+    # dataclass range checks
+    "mu_negative": ({"source": {"mu": -1.0}}, "source.mu must be >= 0, got -1.0"),
+    "rep_rate_zero": ({"source": {"rep_rate": 0}}, "source.rep_rate must be > 0, got 0.0"),
+    "wavelength_zero": (
+        {"source": {"wavelength": 0.0}},
+        "source.wavelength must be > 0, got 0.0",
+    ),
+    "efficiency_above_1": (
+        {"detectors": {"efficiency": 1.5}},
+        "detectors.efficiency must be in [0, 1], got 1.5",
+    ),
+    "dark_prob_1": (
+        {"detectors": {"dark_prob": 1.0}},
+        "detectors.dark_prob must be in [0, 1), got 1.0",
+    ),
+    "pulses_zero": ({"protocol": {"pulses": 0}}, "protocol.pulses must be >= 1, got 0"),
+    "disclosed_zero": (
+        {"protocol": {"disclosed_fraction": 0.0}},
+        "protocol.disclosed_fraction must be in (0, 1], got 0.0",
+    ),
+    "disclosed_above_1": (
+        {"protocol": {"disclosed_fraction": 1.5}},
+        "protocol.disclosed_fraction must be in (0, 1], got 1.5",
+    ),
+    "eve_fraction": ({"eve": {"fraction": 1.5}}, "eve.fraction must be in [0, 1], got 1.5"),
+    "loop_coupler_ratio": (
+        _loop(coupler_ratio=1.0),
+        "coupler_ratio must be in (0, 1), got 1.0",
+    ),
+    "loop_length_negative": (
+        _loop(upper_length=-1.0),
+        "upper-link: fiber length must be >= 0 m, got -1.0",
+    ),
+    "loop_delay_negative": (
+        _loop(delay_length=-5.0),
+        "delay: fiber length must be >= 0 m, got -5.0",
+    ),
+    "loop_loss_negative": (
+        _loop(loss_db_per_km=-1.0),
+        "delay: loss_db_per_km must be >= 0, got -1.0",
+    ),
+    "loop_attenuator_zero": (
+        _loop(attenuator_transmittance=0.0),
+        "attenuator: attenuator transmittance must be in (0, 1], got 0.0",
+    ),
+    "loop_attenuator_above_1": (
+        _loop(attenuator_transmittance=1.5),
+        "attenuator: attenuator transmittance must be in (0, 1], got 1.5",
+    ),
+    "entity_attenuator_zero": (
+        _entity(attenuator_transmittance=0.0),
+        "entity a: attenuator_transmittance must be in (0, 1]",
+    ),
+    "entity_insertion_above_1": (
+        _entity(insertion_transmittance=1.5),
+        "entity a: insertion_transmittance must be in (0, 1]",
+    ),
+    "entity_sigma_negative": (
+        _entity(disturbance_sigma=-1.0),
+        "entity a: disturbance_sigma must be >= 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("raw, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_scenario_message(raw, message):
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        build_scenario(copy.deepcopy(raw))
+
+
+# Digest and sha256 of the dumped effective mapping of every shipped scenario.
+PINNED = {
+    "paper_calibrated": (
+        "scenarios/paper_calibrated.yaml",
+        "bff53fe62031aa7a",
+        "62ced0108c96e1c122e5b28e8a9615e264d4d7464200036c406eff9dd925d137",
+    ),
+    "paper_ideal": (
+        "scenarios/paper_ideal.yaml",
+        "398318d9465b2a20",
+        "919d523ca9b1c0cfaa9c1b3cf79efe5e038b32a9fa43c439465ca699b990b3d8",
+    ),
+    "calibration_base": (
+        "scenarios/calibration_base.yaml",
+        "a617fd2a7febf323",
+        "a12eeefc4ed9408b8637fae44ae3fd5e8891c25273996296083056f7a74c723e",
+    ),
+    "network_four_party": (
+        "scenarios/network_four_party.yaml",
+        "6f0893f05ee78d5c",
+        "ff427f1a11ab8474734ebe465cfe03d1c613a106f7b0c78a8c3add7ddc06fddb",
+    ),
+    "ring_noisy": (
+        "perfbench/scenarios/ring_noisy.yaml",
+        "0e40c8e55e64ad70",
+        "07df869f71de41b560f30fa4a5eb937b07ac25c6fefd385b21cdb599d1b7b3b0",
+    ),
+}
+
+
+@pytest.mark.parametrize("path, digest, dump_sha256", PINNED.values(), ids=PINNED.keys())
+def test_scenario_digest_and_dump_are_pinned(path, digest, dump_sha256):
+    sc = load_scenario(str(ROOT / path))
+    assert sc.digest == digest
+    assert hashlib.sha256(dump_scenario(sc.effective).encode()).hexdigest() == dump_sha256
 
 
 def test_dump_and_reload_roundtrip():
