@@ -74,10 +74,6 @@ class EveConfig:
         if not (0.0 <= self.fraction <= 1.0):
             raise ValueError(f"eve.fraction must be in [0, 1], got {self.fraction}")
 
-    @property
-    def active(self) -> bool:
-        return self.strategy is EveStrategy.INTERCEPT_RESEND and self.fraction > 0.0
-
 
 @dataclass(frozen=True)
 class PulseRecord:

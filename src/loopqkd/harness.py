@@ -1,10 +1,13 @@
 """Scenario files, seeded runs, calibration to rate/error targets, and sweeps.
 
-Scenario files are YAML: nested sections of key-value pairs.  Loading is
-fail-closed -- unknown keys are rejected with their full dotted path, every
-default is filled in explicitly, and the resulting *effective* parameter
-set is hashed into the scenario digest, so any change to any effective
-parameter changes the digest.
+Scenario files are YAML: nested sections of key-value pairs.  The schema
+table (``_SCENARIO`` and the section tables it names, one row
+``key: (parser, default)`` per field) is the one place a field is named,
+parsed and defaulted; one walker applies it.  Loading is fail-closed --
+unknown keys are rejected with their full dotted path, numbers must be
+finite, every default is filled in explicitly, and the resulting
+*effective* parameter set is hashed into the scenario digest, so any change
+to any effective parameter changes the digest.
 
 Seed policy: one 64-bit master seed drives a session; the engine derives
 named Philox substreams per purpose and pulse batch (see ``session``), so
@@ -20,7 +23,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 import yaml
@@ -53,7 +56,10 @@ def _fmt(x: Any) -> str:
 # scenario parsing
 # --------------------------------------------------------------------------
 
-_JONES_KINDS = ("identity", "rotation", "retarder", "random_unitary")
+# A row parser takes a raw value and its dotted path and returns the
+# effective value, or raises ScenarioError naming that path.
+_Parser = Callable[[Any, str], Any]
+_OMIT = object()  # default of an optional section: absent stays absent
 
 
 def _expect_mapping(node: Any, path: str) -> dict:
@@ -64,77 +70,187 @@ def _expect_mapping(node: Any, path: str) -> dict:
     return node
 
 
-def _check_keys(node: dict, allowed: Sequence[str], path: str) -> None:
-    unknown = sorted(set(node) - set(allowed))
-    if unknown:
-        raise ScenarioError(
-            f"{path}: unknown key(s) {', '.join(map(repr, unknown))}; "
-            f"allowed: {', '.join(allowed)}"
-        )
+def _section(table: dict[str, tuple[_Parser, Any]]) -> _Parser:
+    """Parser of a mapping whose keys are the rows ``key: (parser, default)``.
+
+    Unknown keys are rejected; an absent key takes its row's default (a
+    callable default is called with the fields parsed before it), and every
+    value goes through its row's parser.  Returns the effective mapping in
+    table order.  The top level has path "" and is reported as "scenario".
+    """
+    allowed = ", ".join(table)
+
+    def parse(v: Any, path: str) -> dict:
+        where = path or "scenario"
+        node = _expect_mapping(v, where)
+        unknown = sorted(node.keys() - table.keys())
+        if unknown:
+            raise ScenarioError(
+                f"{where}: unknown key(s) {', '.join(map(repr, unknown))}; allowed: {allowed}"
+            )
+        out: dict = {}
+        for key, (parser, default) in table.items():
+            if key in node:
+                value = node[key]
+            elif default is _OMIT:
+                continue
+            else:
+                value = default(out) if callable(default) else default
+            out[key] = parser(value, f"{path}.{key}" if path else key)
+        return out
+
+    return parse
 
 
-def _number(node: dict, key: str, default: float, path: str) -> float:
-    v = node.get(key, default)
+def _number(v: Any, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioError(f"{path}.{key}: expected a number, got {v!r}")
-    return float(v)
+        raise ScenarioError(f"{path}: expected a number, got {v!r}")
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ScenarioError(f"{path}: expected a finite number, got {x!r}")
+    return x
 
 
-def _integer(node: dict, key: str, default: int, path: str) -> int:
-    v = node.get(key, default)
+def _integer(v: Any, path: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ScenarioError(f"{path}.{key}: expected an integer, got {v!r}")
+        raise ScenarioError(f"{path}: expected an integer, got {v!r}")
     return int(v)
 
 
-def _choice(node: dict, key: str, default: str, options: Sequence[str], path: str) -> str:
-    v = node.get(key, default)
-    if v is False:  # YAML 1.1 parses a bare `off` as boolean false
-        v = "off"
-    if v not in options:
-        raise ScenarioError(f"{path}.{key}: expected one of {options}, got {v!r}")
+def _seed(v: Any, path: str) -> int:
+    """The 64-bit master seed, reported as ``scenario.seed``."""
+    seed = _integer(v, "scenario.seed")
+    if not 0 <= seed < 2**64:
+        raise ScenarioError(f"scenario.seed must fit in 64 bits, got {seed}")
+    return seed
+
+
+def _choice(options: Iterable[str]) -> _Parser:
+    options = tuple(options)
+
+    def parse(v: Any, path: str) -> str:
+        if v is False:  # YAML 1.1 parses a bare `off` as boolean false
+            v = "off"
+        if v not in options:
+            raise ScenarioError(f"{path}: expected one of {options}, got {v!r}")
+        return v
+
+    return parse
+
+
+def _name(v: Any, path: str) -> str:
+    if not isinstance(v, str) or not v:
+        raise ScenarioError(f"{path}: expected a non-empty string")
     return v
 
 
-def _parse_jones_spec(node: Any, path: str) -> tuple[JonesOperator, dict]:
-    node = _expect_mapping(node, path)
-    kind = _choice(node, "kind", "identity", _JONES_KINDS, path)
-    if kind == "identity":
-        _check_keys(node, ("kind",), path)
-        return jones.IDENTITY, {"kind": "identity"}
-    if kind == "rotation":
-        _check_keys(node, ("kind", "angle"), path)
-        angle = _number(node, "angle", 0.0, path)
-        return jones.rotator(angle), {"kind": "rotation", "angle": angle}
-    if kind == "retarder":
-        _check_keys(node, ("kind", "delta", "theta"), path)
-        delta = _number(node, "delta", 0.0, path)
-        theta = _number(node, "theta", 0.0, path)
-        return jones.retarder(delta, theta), {"kind": "retarder", "delta": delta, "theta": theta}
-    _check_keys(node, ("kind", "seed"), path)
-    seed = _integer(node, "seed", 0, path)
-    op = jones.random_unitary(np.random.default_rng(seed))
-    return op, {"kind": "random_unitary", "seed": seed}
+def _list_of(item: _Parser, expected: str, min_len: int = 0) -> _Parser:
+    def parse(v: Any, path: str) -> list:
+        if not isinstance(v, list) or len(v) < min_len:
+            raise ScenarioError(f"{path}: expected {expected}")
+        return [item(x, f"{path}[{i}]") for i, x in enumerate(v)]
+
+    return parse
 
 
-def _parse_source_pol(node: Any, path: str) -> tuple[JonesState, list]:
-    if node is None:
-        node = [[1.0, 0.0], [0.0, 0.0]]
-    if (
-        not isinstance(node, list)
-        or len(node) != 2
-        or any(not isinstance(c, list) or len(c) != 2 for c in node)
+def _source_pol(v: Any, path: str) -> list:
+    """A normalized ``[[re_x, im_x], [re_y, im_y]]``; null is horizontal."""
+    if v is None:
+        v = [[1.0, 0.0], [0.0, 0.0]]
+    if not isinstance(v, list) or len(v) != 2 or any(
+        not isinstance(c, list) or len(c) != 2 for c in v
     ):
         raise ScenarioError(f"{path}: expected [[re_x, im_x], [re_y, im_y]]")
     try:
-        ex = complex(float(node[0][0]), float(node[0][1]))
-        ey = complex(float(node[1][0]), float(node[1][1]))
+        pol = [[float(re), float(im)] for re, im in v]
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{path}: entries must be numbers ({exc})") from None
-    state = JonesState(ex, ey)
+    state = JonesState(*(complex(*c) for c in pol))
     if not state.is_normalized(tol=1e-9):
         raise ScenarioError(f"{path}: polarization must be normalized, |s|^2 = {state.norm_sq():g}")
-    return state, [[ex.real, ex.imag], [ey.real, ey.imag]]
+    return pol
+
+
+# Jones spec kinds: kind -> (operator builder, fields).
+_JONES: dict[str, tuple[Callable[..., JonesOperator], dict]] = {
+    "identity": (lambda: jones.IDENTITY, {}),
+    "rotation": (jones.rotator, {"angle": (_number, 0.0)}),
+    "retarder": (jones.retarder, {"delta": (_number, 0.0), "theta": (_number, 0.0)}),
+    "random_unitary": (
+        lambda seed: jones.random_unitary(np.random.default_rng(seed)),
+        {"seed": (_integer, 0)},
+    ),
+}
+_JONES_KIND = (_choice(_JONES), "identity")
+_JONES_SPECS = {kind: _section({"kind": _JONES_KIND, **rows}) for kind, (_, rows) in _JONES.items()}
+
+
+def _jones_spec(v: Any, path: str) -> dict:
+    parse_kind, default = _JONES_KIND
+    kind = parse_kind(_expect_mapping(v, path).get("kind", default), f"{path}.kind")
+    return _JONES_SPECS[kind](v, path)
+
+
+def _operator(spec: dict) -> JonesOperator:
+    build, _ = _JONES[spec["kind"]]
+    return build(**{k: v for k, v in spec.items() if k != "kind"})
+
+
+# The scenario schema, key -> (parser, default), is the one place a field is
+# named, parsed and defaulted.  Row order is the order of "allowed:" lists.
+_SOURCE = {"mu": (_number, 0.1), "rep_rate": (_number, 100e3), "wavelength": (_number, 830e-9)}
+_DETECTORS = {"efficiency": (_number, 1.0), "dark_prob": (_number, 0.0)}
+_PROTOCOL = {
+    "pulses": (_integer, 100_000),
+    "double_click_policy": (_choice(p.value for p in DoubleClickPolicy), "discard"),
+    "disclosed_fraction": (_number, 1.0),
+}
+_EVE = {"strategy": (_choice(s.value for s in EveStrategy), "off"), "fraction": (_number, 0.0)}
+_LOOP = {
+    "upper_length": (_number, 200.0),
+    "lower_length": (_number, 200.0),
+    "delay_length": (_number, 800.0),
+    "loss_db_per_km": (_number, 0.0),
+    "coupler_ratio": (_number, 0.5),
+    "attenuator_transmittance": (_number, 1.0),
+    "source_pol": (_source_pol, None),
+    "upper_jones": (_jones_spec, None),
+    "lower_jones": (_jones_spec, None),
+    "delay_jones": (_jones_spec, None),
+}
+_ENTITY = {
+    "id": (_name, None),
+    "attenuator_transmittance": (_number, 1.0),
+    "insertion_transmittance": (_number, 1.0),
+    "disturbance_sigma": (_number, 0.0),
+    "disturbance_kind": (_choice(k.value for k in DisturbanceKind), "gaussian"),
+}
+_RING = {
+    # any value; build_scenario checks it against the entity ids
+    "partner": (lambda v, path: v, None),
+    "entities": (_list_of(_section(_ENTITY), "a non-empty list", min_len=1), None),
+    "link_lengths": (  # default: one 100 m fiber per gap between hub and entities
+        _list_of(_number, "a list of lengths in meters"),
+        lambda ring: [100.0] * (len(ring["entities"]) + 1),
+    ),
+    "delay_length": (_number, 800.0),
+    "loss_db_per_km": (_number, 0.0),
+    "coupler_ratio": (_number, 0.5),
+}
+_SCENARIO = _section(
+    {
+        "seed": (_seed, 1),
+        "source": (_section(_SOURCE), None),
+        "detectors": (_section(_DETECTORS), None),
+        "protocol": (_section(_PROTOCOL), None),
+        "loop": (_section(_LOOP), _OMIT),
+        "eve": (_section(_EVE), None),
+        "ring": (_section(_RING), _OMIT),
+    }
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,214 +289,63 @@ class Scenario:
         return select_partner(self.ring, partner)
 
 
+def _construct(eff: dict) -> tuple[SessionParams, LoopConfig | None, RingConfig | None]:
+    """Objects of an effective scenario, validated; raises ValueError."""
+    protocol, eve = eff["protocol"], eff["eve"]
+    params = SessionParams(
+        pulses=protocol["pulses"],
+        seed=eff["seed"],
+        source=SourceParams(**eff["source"]),
+        detectors=DetectorParams(
+            **eff["detectors"],
+            double_click_policy=DoubleClickPolicy(protocol["double_click_policy"]),
+        ),
+        eve=EveConfig(EveStrategy(eve["strategy"]), eve["fraction"]),
+        disclosed_fraction=protocol["disclosed_fraction"],
+    )
+    params.validate()
+    # Scalars (float fields) go in by keyword; lists and mappings are built.
+    if "loop" in eff:
+        loop = eff["loop"]
+        loop_cfg = standard_loop(
+            **{k: v for k, v in loop.items() if isinstance(v, float)},
+            source_pol=JonesState(*(complex(*c) for c in loop["source_pol"])),
+            **{k: _operator(v) for k, v in loop.items() if isinstance(v, dict)},
+        )
+        loop_cfg.validate()
+        return params, loop_cfg, None
+    ring = eff["ring"]
+    entities = tuple(
+        Entity(**{**e, "disturbance_kind": DisturbanceKind(e["disturbance_kind"])})
+        for e in ring["entities"]
+    )
+    ring_cfg = RingConfig(
+        entities=entities,
+        link_lengths=tuple(ring["link_lengths"]),
+        **{k: v for k, v in ring.items() if isinstance(v, float)},
+    )
+    # flattening checks the ring, its entities, hub, delay, links and coupler
+    select_partner(ring_cfg, entities[0].id).validate()
+    return params, None, ring_cfg
+
+
 def build_scenario(raw: Any) -> Scenario:
     """Validate a parsed scenario mapping, fill defaults, and construct everything."""
     raw = _expect_mapping(raw, "scenario")
-    _check_keys(raw, ("seed", "source", "detectors", "protocol", "loop", "eve", "ring"), "scenario")
     if "loop" in raw and "ring" in raw:
         raise ScenarioError("scenario: give either a loop or a ring section, not both")
-
-    seed = _integer(raw, "seed", 1, "scenario")
-    if not (0 <= seed < 2**64):
-        raise ScenarioError(f"scenario.seed must fit in 64 bits, got {seed}")
-
-    src_node = _expect_mapping(raw.get("source"), "source")
-    _check_keys(src_node, ("mu", "rep_rate", "wavelength"), "source")
-    source = SourceParams(
-        mu=_number(src_node, "mu", 0.1, "source"),
-        rep_rate=_number(src_node, "rep_rate", 100e3, "source"),
-        wavelength=_number(src_node, "wavelength", 830e-9, "source"),
-    )
+    topology = "ring" if "ring" in raw else "loop"
+    effective = _SCENARIO({topology: None, **raw}, "")
+    effective[topology] = effective.pop(topology)  # last, so sweep axes list it last
     try:
-        source.validate()
+        params, loop_cfg, ring_cfg = _construct(effective)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
-
-    prot_node = _expect_mapping(raw.get("protocol"), "protocol")
-    _check_keys(prot_node, ("pulses", "double_click_policy", "disclosed_fraction"), "protocol")
-    pulses = _integer(prot_node, "pulses", 100_000, "protocol")
-    if pulses < 1:
-        raise ScenarioError(f"protocol.pulses must be >= 1, got {pulses}")
-    policy = _choice(
-        prot_node, "double_click_policy", "discard", ("discard", "random_assign"), "protocol"
-    )
-    disclosed = _number(prot_node, "disclosed_fraction", 1.0, "protocol")
-    if not (0.0 < disclosed <= 1.0):
-        raise ScenarioError(f"protocol.disclosed_fraction must be in (0, 1], got {disclosed}")
-
-    det_node = _expect_mapping(raw.get("detectors"), "detectors")
-    _check_keys(det_node, ("efficiency", "dark_prob"), "detectors")
-    detectors = DetectorParams(
-        efficiency=_number(det_node, "efficiency", 1.0, "detectors"),
-        dark_prob=_number(det_node, "dark_prob", 0.0, "detectors"),
-        double_click_policy=DoubleClickPolicy(policy),
-    )
-    try:
-        detectors.validate()
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
-
-    eve_node = _expect_mapping(raw.get("eve"), "eve")
-    _check_keys(eve_node, ("strategy", "fraction"), "eve")
-    strategy = _choice(eve_node, "strategy", "off", ("off", "intercept_resend"), "eve")
-    eve = EveConfig(
-        strategy=EveStrategy(strategy), fraction=_number(eve_node, "fraction", 0.0, "eve")
-    )
-    try:
-        eve.validate()
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
-
-    effective: dict = {
-        "seed": seed,
-        "source": {"mu": source.mu, "rep_rate": source.rep_rate, "wavelength": source.wavelength},
-        "detectors": {"efficiency": detectors.efficiency, "dark_prob": detectors.dark_prob},
-        "protocol": {
-            "pulses": pulses,
-            "double_click_policy": policy,
-            "disclosed_fraction": disclosed,
-        },
-        "eve": {"strategy": strategy, "fraction": eve.fraction},
-    }
-
-    loop_cfg: LoopConfig | None = None
-    ring_cfg: RingConfig | None = None
-    partner: str | None = None
-
-    if "ring" in raw:
-        ring_node = _expect_mapping(raw.get("ring"), "ring")
-        _check_keys(
-            ring_node,
-            ("partner", "entities", "link_lengths", "delay_length", "loss_db_per_km", "coupler_ratio"),
-            "ring",
+    partner = effective.get("ring", {}).get("partner")
+    if partner is not None and partner not in ring_cfg.entity_ids():
+        raise ScenarioError(
+            f"ring.partner: {partner!r} not in ring ({', '.join(ring_cfg.entity_ids())})"
         )
-        entities_node = ring_node.get("entities")
-        if not isinstance(entities_node, list) or not entities_node:
-            raise ScenarioError("ring.entities: expected a non-empty list")
-        entities = []
-        eff_entities = []
-        for i, e_node in enumerate(entities_node):
-            path = f"ring.entities[{i}]"
-            e_node = _expect_mapping(e_node, path)
-            _check_keys(
-                e_node,
-                (
-                    "id",
-                    "attenuator_transmittance",
-                    "insertion_transmittance",
-                    "disturbance_sigma",
-                    "disturbance_kind",
-                ),
-                path,
-            )
-            ent_id = e_node.get("id")
-            if not isinstance(ent_id, str) or not ent_id:
-                raise ScenarioError(f"{path}.id: expected a non-empty string")
-            ent = Entity(
-                id=ent_id,
-                attenuator_transmittance=_number(e_node, "attenuator_transmittance", 1.0, path),
-                insertion_transmittance=_number(e_node, "insertion_transmittance", 1.0, path),
-                disturbance_sigma=_number(e_node, "disturbance_sigma", 0.0, path),
-                disturbance_kind=DisturbanceKind(
-                    _choice(e_node, "disturbance_kind", "gaussian", ("gaussian", "uniform"), path)
-                ),
-            )
-            entities.append(ent)
-            eff_entities.append(
-                {
-                    "id": ent.id,
-                    "attenuator_transmittance": ent.attenuator_transmittance,
-                    "insertion_transmittance": ent.insertion_transmittance,
-                    "disturbance_sigma": ent.disturbance_sigma,
-                    "disturbance_kind": ent.disturbance_kind.value,
-                }
-            )
-        links_node = ring_node.get("link_lengths", [100.0] * (len(entities) + 1))
-        if not isinstance(links_node, list):
-            raise ScenarioError("ring.link_lengths: expected a list of lengths in meters")
-        link_lengths = []
-        for i, v in enumerate(links_node):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ScenarioError(f"ring.link_lengths[{i}]: expected a number, got {v!r}")
-            link_lengths.append(float(v))
-        ring_cfg = RingConfig(
-            entities=tuple(entities),
-            link_lengths=tuple(link_lengths),
-            delay_length=_number(ring_node, "delay_length", 800.0, "ring"),
-            loss_db_per_km=_number(ring_node, "loss_db_per_km", 0.0, "ring"),
-            coupler_ratio=_number(ring_node, "coupler_ratio", 0.5, "ring"),
-        )
-        try:
-            ring_cfg.validate()
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from None
-        partner = ring_node.get("partner")
-        if partner is not None:
-            if partner not in ring_cfg.entity_ids():
-                raise ScenarioError(
-                    f"ring.partner: {partner!r} not in ring ({', '.join(ring_cfg.entity_ids())})"
-                )
-        effective["ring"] = {
-            "partner": partner,
-            "entities": eff_entities,
-            "link_lengths": link_lengths,
-            "delay_length": ring_cfg.delay_length,
-            "loss_db_per_km": ring_cfg.loss_db_per_km,
-            "coupler_ratio": ring_cfg.coupler_ratio,
-        }
-    else:
-        loop_node = _expect_mapping(raw.get("loop"), "loop")
-        _check_keys(
-            loop_node,
-            (
-                "upper_length",
-                "lower_length",
-                "delay_length",
-                "loss_db_per_km",
-                "coupler_ratio",
-                "attenuator_transmittance",
-                "source_pol",
-                "upper_jones",
-                "lower_jones",
-                "delay_jones",
-            ),
-            "loop",
-        )
-        source_pol, eff_pol = _parse_source_pol(loop_node.get("source_pol"), "loop.source_pol")
-        upper_j, eff_upper = _parse_jones_spec(loop_node.get("upper_jones"), "loop.upper_jones")
-        lower_j, eff_lower = _parse_jones_spec(loop_node.get("lower_jones"), "loop.lower_jones")
-        delay_j, eff_delay = _parse_jones_spec(loop_node.get("delay_jones"), "loop.delay_jones")
-        geometry = {
-            "upper_length": _number(loop_node, "upper_length", 200.0, "loop"),
-            "lower_length": _number(loop_node, "lower_length", 200.0, "loop"),
-            "delay_length": _number(loop_node, "delay_length", 800.0, "loop"),
-            "loss_db_per_km": _number(loop_node, "loss_db_per_km", 0.0, "loop"),
-            "coupler_ratio": _number(loop_node, "coupler_ratio", 0.5, "loop"),
-            "attenuator_transmittance": _number(loop_node, "attenuator_transmittance", 1.0, "loop"),
-        }
-        loop_cfg = standard_loop(
-            upper_length=geometry["upper_length"],
-            lower_length=geometry["lower_length"],
-            delay_length=geometry["delay_length"],
-            loss_db_per_km=geometry["loss_db_per_km"],
-            coupler_ratio=geometry["coupler_ratio"],
-            attenuator_transmittance=geometry["attenuator_transmittance"],
-            source_pol=source_pol,
-            upper_jones=upper_j,
-            lower_jones=lower_j,
-            delay_jones=delay_j,
-        )
-        try:
-            loop_cfg.validate()
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from None
-        effective["loop"] = {
-            **geometry,
-            "source_pol": eff_pol,
-            "upper_jones": eff_upper,
-            "lower_jones": eff_lower,
-            "delay_jones": eff_delay,
-        }
 
     digest = hashlib.sha256(
         json.dumps(effective, sort_keys=True, separators=(",", ":")).encode()
@@ -389,12 +354,12 @@ def build_scenario(raw: Any) -> Scenario:
     return Scenario(
         effective=effective,
         digest=digest,
-        seed=seed,
-        source=source,
-        detectors=detectors,
-        eve=eve,
-        pulses=pulses,
-        disclosed_fraction=disclosed,
+        seed=params.seed,
+        source=params.source,
+        detectors=params.detectors,
+        eve=params.eve,
+        pulses=params.pulses,
+        disclosed_fraction=params.disclosed_fraction,
         loop=loop_cfg,
         ring=ring_cfg,
         partner=partner,

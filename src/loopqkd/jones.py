@@ -20,9 +20,8 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Double-precision tolerances: exact algebraic identities vs. composed products.
+# Double-precision tolerance of exact algebraic identities.
 ALGEBRA_TOL = 1e-12
-PRODUCT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -41,12 +40,6 @@ class JonesState:
 
     def is_normalized(self, tol: float = ALGEBRA_TOL) -> bool:
         return math.isfinite(self.norm_sq()) and abs(self.norm_sq() - 1.0) <= tol
-
-    def normalized(self) -> "JonesState":
-        n = math.sqrt(self.norm_sq())
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero state")
-        return JonesState(self.e_x / n, self.e_y / n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +78,6 @@ class JonesOperator:
 IDENTITY = JonesOperator.identity()
 
 H_POL = JonesState(1.0 + 0.0j, 0.0 + 0.0j)
-V_POL = JonesState(0.0 + 0.0j, 1.0 + 0.0j)
 
 
 def rotation(angle: float) -> np.ndarray:

@@ -39,10 +39,6 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, vacuum
 # Silica fiber near 830 nm; used for pulse time-of-flight.
 DEFAULT_GROUP_INDEX = 1.468
 
-# Representative short-wavelength fiber attenuation, for sweeps and realism
-# studies; shipped scenarios default to lossless fiber.
-TYPICAL_FIBER_LOSS_DB_PER_KM = 2.0
-
 # Modulators are gated; two pulse transits closer than this collide.
 DEFAULT_GATE_WIDTH = 100e-9  # s
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from loopqkd import harness
 from loopqkd.harness import (
@@ -378,6 +379,55 @@ MALFORMED = {
         _entity(disturbance_sigma=-1.0),
         "entity a: disturbance_sigma must be >= 0",
     ),
+    # ring geometry, checked through the flattened loop
+    "ring_coupler_ratio": (_ring(coupler_ratio=7.0), "coupler_ratio must be in (0, 1), got 7.0"),
+    "ring_delay_negative": (
+        _ring(delay_length=-5),
+        "delay: fiber length must be >= 0 m, got -5.0",
+    ),
+    "ring_loss_negative": (
+        _ring(loss_db_per_km=-1.0),
+        "delay: loss_db_per_km must be >= 0, got -1.0",
+    ),
+    # non-finite numbers
+    "mu_inf": ({"source": {"mu": math.inf}}, "source.mu: expected a finite number, got inf"),
+    "mu_nan": ({"source": {"mu": math.nan}}, "source.mu: expected a finite number, got nan"),
+    "mu_beyond_float": (
+        {"source": {"mu": 10**400}},
+        "source.mu: expected a finite number, got inf",
+    ),
+    "rep_rate_inf": (
+        {"source": {"rep_rate": math.inf}},
+        "source.rep_rate: expected a finite number, got inf",
+    ),
+    "wavelength_inf": (
+        {"source": {"wavelength": math.inf}},
+        "source.wavelength: expected a finite number, got inf",
+    ),
+    "eve_fraction_nan": (
+        {"eve": {"fraction": math.nan}},
+        "eve.fraction: expected a finite number, got nan",
+    ),
+    "loop_loss_inf": (
+        _loop(loss_db_per_km=math.inf),
+        "loop.loss_db_per_km: expected a finite number, got inf",
+    ),
+    "angle_nan": (
+        _loop(delay_jones={"kind": "rotation", "angle": math.nan}),
+        "loop.delay_jones.angle: expected a finite number, got nan",
+    ),
+    "link_lengths_inf": (
+        _ring(link_lengths=[math.inf, 1.0]),
+        "ring.link_lengths[0]: expected a finite number, got inf",
+    ),
+    "ring_loss_inf": (
+        _ring(loss_db_per_km=math.inf),
+        "ring.loss_db_per_km: expected a finite number, got inf",
+    ),
+    "entity_sigma_inf": (
+        _entity(disturbance_sigma=-math.inf),
+        "ring.entities[0].disturbance_sigma: expected a finite number, got -inf",
+    ),
 }
 
 
@@ -427,6 +477,122 @@ def test_scenario_digest_and_dump_are_pinned(path, digest, dump_sha256):
 def test_dump_and_reload_roundtrip():
     sc = load_scenario(str(SCENARIOS / "paper_calibrated.yaml"))
     again = build_scenario(yaml.safe_load(dump_scenario(sc.effective)))
+    assert again.digest == sc.digest
+
+
+_unit = st.floats(0.0, 1.0)
+_length = st.floats(0.0, 1e5)
+_JONES_SPECS = st.one_of(
+    st.just({"kind": "identity"}),
+    st.builds(lambda a: {"kind": "rotation", "angle": a}, st.floats(-7.0, 7.0)),
+    st.builds(
+        lambda d, t: {"kind": "retarder", "delta": d, "theta": t},
+        st.floats(-7.0, 7.0),
+        st.floats(-7.0, 7.0),
+    ),
+    st.builds(lambda s: {"kind": "random_unitary", "seed": s}, st.integers(0, 2**32)),
+    st.just({}),
+)
+
+
+@st.composite
+def _source_pol(draw):
+    a, b = draw(st.floats(0.0, math.pi)), draw(st.floats(0.0, 2.0 * math.pi))
+    return [[math.cos(a), 0.0], [math.sin(a) * math.cos(b), math.sin(a) * math.sin(b)]]
+
+
+@st.composite
+def _ring_section(draw):
+    n = draw(st.integers(1, 4))
+    ids = [f"e{i}" for i in range(n)]
+    entity = st.fixed_dictionaries(
+        {},
+        optional={
+            "attenuator_transmittance": st.floats(1e-6, 1.0),
+            "insertion_transmittance": st.floats(1e-6, 1.0),
+            "disturbance_sigma": st.floats(0.0, 3.0),
+            "disturbance_kind": st.sampled_from(["gaussian", "uniform"]),
+        },
+    )
+    ring = draw(
+        st.fixed_dictionaries(
+            {"entities": st.tuples(*[entity] * n)},
+            optional={
+                "partner": st.sampled_from(ids),
+                "link_lengths": st.lists(_length, min_size=n + 1, max_size=n + 1),
+                "delay_length": _length,
+                "loss_db_per_km": st.floats(0.0, 5.0),
+                "coupler_ratio": st.floats(0.01, 0.99),
+            },
+        )
+    )
+    ring["entities"] = [{"id": i, **e} for i, e in zip(ids, ring["entities"])]
+    return ring
+
+
+_LOOP_SECTION = st.fixed_dictionaries(
+    {},
+    optional={
+        "upper_length": _length,
+        "lower_length": _length,
+        "delay_length": _length,
+        "loss_db_per_km": st.floats(0.0, 5.0),
+        "coupler_ratio": st.floats(0.01, 0.99),
+        "attenuator_transmittance": st.floats(1e-6, 1.0),
+        "source_pol": _source_pol(),
+        "upper_jones": _JONES_SPECS,
+        "lower_jones": _JONES_SPECS,
+        "delay_jones": _JONES_SPECS,
+    },
+)
+
+_SCENARIOS = st.fixed_dictionaries(
+    {},
+    optional={
+        "seed": st.integers(0, 2**64 - 1),
+        "source": st.fixed_dictionaries(
+            {},
+            optional={
+                "mu": st.floats(0.0, 10.0),
+                "rep_rate": st.floats(1.0, 1e9),
+                "wavelength": st.floats(1e-7, 2e-6),
+            },
+        ),
+        "detectors": st.fixed_dictionaries(
+            {}, optional={"efficiency": _unit, "dark_prob": st.floats(0.0, 0.5)}
+        ),
+        "protocol": st.fixed_dictionaries(
+            {},
+            optional={
+                "pulses": st.integers(1, 10**9),
+                "double_click_policy": st.sampled_from(["discard", "random_assign"]),
+                "disclosed_fraction": st.floats(0.01, 1.0),
+            },
+        ),
+        "eve": st.fixed_dictionaries(
+            {},
+            optional={
+                "strategy": st.sampled_from(["off", "intercept_resend"]),
+                "fraction": _unit,
+            },
+        ),
+    },
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _SCENARIOS,
+    st.one_of(
+        st.builds(lambda loop: {"loop": loop}, _LOOP_SECTION),
+        st.builds(lambda ring: {"ring": ring}, _ring_section()),
+        st.just({}),
+    ),
+)
+def test_dump_and_reload_keeps_the_digest(common, topology):
+    sc = build_scenario({**common, **topology})
+    again = build_scenario(yaml.safe_load(dump_scenario(sc.effective)))
+    assert again.effective == sc.effective
     assert again.digest == sc.digest
 
 
@@ -556,6 +722,13 @@ def test_sweep_eve_fraction_is_linear():
     assert q[0] == 0.0
     assert q[1] == pytest.approx(0.125, abs=0.01)
     assert q[2] == pytest.approx(0.25, abs=0.01)
+
+
+def test_sweep_names_the_grid_point_of_an_invalid_ring():
+    sc = load_scenario(str(SCENARIOS / "network_four_party.yaml"))
+    message = "sweep ring.coupler_ratio=1.5: coupler_ratio must be in (0, 1), got 1.5"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        sweep(sc, "ring.coupler_ratio", [0.5, 1.5], pulses=1000)
 
 
 def test_sweep_rows_carry_per_point_digests():

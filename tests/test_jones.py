@@ -284,7 +284,6 @@ def test_jones_state_normalization():
     s = JonesState(3.0, 4.0j)
     assert s.norm_sq() == pytest.approx(25.0)
     assert not s.is_normalized()
-    assert s.normalized().is_normalized()
 
 
 def test_operator_validation_and_svd():
