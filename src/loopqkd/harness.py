@@ -79,24 +79,26 @@ def _section(table: dict[str, tuple[_Parser, Any]]) -> _Parser:
     table order.  The top level has path "" and is reported as "scenario".
     """
     allowed = ", ".join(table)
+    rows = tuple(table.items())
 
     def parse(v: Any, path: str) -> dict:
         where = path or "scenario"
         node = _expect_mapping(v, where)
-        unknown = sorted(node.keys() - table.keys())
-        if unknown:
+        if not node.keys() <= table.keys():
+            unknown = sorted(node.keys() - table.keys())
             raise ScenarioError(
                 f"{where}: unknown key(s) {', '.join(map(repr, unknown))}; allowed: {allowed}"
             )
+        prefix = f"{path}." if path else ""
         out: dict = {}
-        for key, (parser, default) in table.items():
+        for key, (parser, default) in rows:
             if key in node:
                 value = node[key]
             elif default is _OMIT:
                 continue
             else:
                 value = default(out) if callable(default) else default
-            out[key] = parser(value, f"{path}.{key}" if path else key)
+            out[key] = parser(value, prefix + key)
         return out
 
     return parse
