@@ -79,7 +79,6 @@ def _section(table: dict[str, tuple[_Parser, Any]]) -> _Parser:
     table order.  The top level has path "" and is reported as "scenario".
     """
     allowed = ", ".join(table)
-    rows = tuple(table.items())
 
     def parse(v: Any, path: str) -> dict:
         where = path or "scenario"
@@ -91,7 +90,7 @@ def _section(table: dict[str, tuple[_Parser, Any]]) -> _Parser:
             )
         prefix = f"{path}." if path else ""
         out: dict = {}
-        for key, (parser, default) in rows:
+        for key, (parser, default) in table.items():
             if key in node:
                 value = node[key]
             elif default is _OMIT:

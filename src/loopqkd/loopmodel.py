@@ -24,7 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from .jones import (
-    ALGEBRA_TOL,
     H_POL,
     IDENTITY,
     JonesOperator,
