@@ -167,7 +167,7 @@ def _source_pol(v: Any, path: str) -> list:
         raise ScenarioError(f"{path}: expected [[re_x, im_x], [re_y, im_y]]")
     try:
         pol = [[float(re), float(im)] for re, im in v]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{path}: entries must be numbers ({exc})") from None
     state = JonesState(*(complex(*c) for c in pol))
     if not state.is_normalized(tol=1e-9):
@@ -185,7 +185,7 @@ _JONES: dict[str, tuple[Callable[..., JonesOperator], dict]] = {
         {"seed": (_integer, 0)},
     ),
 }
-_JONES_KIND = (_choice(_JONES), "identity")
+_JONES_KIND = (_choice(_JONES), "identity")  # every kind's "kind" row, parsed first
 _JONES_SPECS = {kind: _section({"kind": _JONES_KIND, **rows}) for kind, (_, rows) in _JONES.items()}
 
 
@@ -305,9 +305,9 @@ def _construct(eff: dict) -> tuple[SessionParams, LoopConfig | None, RingConfig 
         disclosed_fraction=protocol["disclosed_fraction"],
     )
     params.validate()
-    # Scalars (float fields) go in by keyword; lists and mappings are built.
     if "loop" in eff:
         loop = eff["loop"]
+        # the geometry (every float field) goes in by keyword
         loop_cfg = standard_loop(
             **{k: v for k, v in loop.items() if isinstance(v, float)},
             source_pol=JonesState(*(complex(*c) for c in loop["source_pol"])),
@@ -315,15 +315,13 @@ def _construct(eff: dict) -> tuple[SessionParams, LoopConfig | None, RingConfig 
         )
         loop_cfg.validate()
         return params, loop_cfg, None
-    ring = eff["ring"]
+    ring = {k: v for k, v in eff["ring"].items() if k != "partner"}
     entities = tuple(
         Entity(**{**e, "disturbance_kind": DisturbanceKind(e["disturbance_kind"])})
         for e in ring["entities"]
     )
     ring_cfg = RingConfig(
-        entities=entities,
-        link_lengths=tuple(ring["link_lengths"]),
-        **{k: v for k, v in ring.items() if isinstance(v, float)},
+        **{**ring, "entities": entities, "link_lengths": tuple(ring["link_lengths"])}
     )
     # flattening checks the ring, its entities, hub, delay, links and coupler
     select_partner(ring_cfg, entities[0].id).validate()

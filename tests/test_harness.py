@@ -312,6 +312,7 @@ MALFORMED = {
     ),
     "partner_unknown": (_ring(partner="nobody"), "ring.partner: 'nobody' not in ring (a)"),
     "partner_not_str": (_ring(partner=3), "ring.partner: 3 not in ring (a)"),
+    "partner_float": (_ring(partner=0.5), "ring.partner: 0.5 not in ring (a)"),
     # seed range
     "seed_negative": ({"seed": -1}, "scenario.seed must fit in 64 bits, got -1"),
     "seed_2_64": (
@@ -423,6 +424,10 @@ MALFORMED = {
     "ring_loss_inf": (
         _ring(loss_db_per_km=math.inf),
         "ring.loss_db_per_km: expected a finite number, got inf",
+    ),
+    "source_pol_beyond_float": (
+        _loop(source_pol=[[10**400, 0.0], [0.0, 0.0]]),
+        "loop.source_pol: entries must be numbers (int too large to convert to float)",
     ),
     "entity_sigma_inf": (
         _entity(disturbance_sigma=-math.inf),
