@@ -70,7 +70,7 @@ class EveConfig:
     strategy: EveStrategy = EveStrategy.OFF
     fraction: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (0.0 <= self.fraction <= 1.0):
             raise ValueError(f"eve.fraction must be in [0, 1], got {self.fraction}")
 

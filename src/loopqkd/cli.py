@@ -102,7 +102,7 @@ def _cmd_run(args: argparse.Namespace, partner: str | None = None) -> None:
     _emit(harness.run_csv(report), args.out)
     if collect:
         with open(args.transcript, "w", encoding="utf-8", newline="") as f:
-            f.write(harness.transcript_csv(transcript))
+            harness.transcript_csv(transcript, f)
         _status(f"transcript: {len(transcript)} pulses -> {args.transcript}")
     s = report.stats
     _status(

@@ -23,7 +23,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 import yaml
@@ -121,6 +121,13 @@ def _integer(v: Any, path: str) -> int:
     return int(v)
 
 
+def _natural(v: Any, path: str) -> int:
+    n = _integer(v, path)
+    if n < 0:
+        raise ScenarioError(f"{path}: expected a non-negative integer, got {n}")
+    return n
+
+
 def _seed(v: Any, path: str) -> int:
     """The 64-bit master seed, reported as ``scenario.seed``."""
     seed = _integer(v, "scenario.seed")
@@ -182,7 +189,7 @@ _JONES: dict[str, tuple[Callable[..., JonesOperator], dict]] = {
     "retarder": (jones.retarder, {"delta": (_number, 0.0), "theta": (_number, 0.0)}),
     "random_unitary": (
         lambda seed: jones.random_unitary(np.random.default_rng(seed)),
-        {"seed": (_integer, 0)},
+        {"seed": (_natural, 0)},
     ),
 }
 _JONES_KIND = (_choice(_JONES), "identity")  # every kind's "kind" row, parsed first
@@ -291,7 +298,12 @@ class Scenario:
 
 
 def _construct(eff: dict) -> tuple[SessionParams, LoopConfig | None, RingConfig | None]:
-    """Objects of an effective scenario, validated; raises ValueError."""
+    """Objects of an effective scenario; raises ValueError.
+
+    Each object checks itself when it is built.  A ring is also flattened
+    once for its first entity, because only the flattened loop checks the
+    ring's delay, loss and coupler.
+    """
     protocol, eve = eff["protocol"], eff["eve"]
     params = SessionParams(
         pulses=protocol["pulses"],
@@ -304,7 +316,6 @@ def _construct(eff: dict) -> tuple[SessionParams, LoopConfig | None, RingConfig 
         eve=EveConfig(EveStrategy(eve["strategy"]), eve["fraction"]),
         disclosed_fraction=protocol["disclosed_fraction"],
     )
-    params.validate()
     if "loop" in eff:
         loop = eff["loop"]
         # the geometry (every float field) goes in by keyword
@@ -313,7 +324,6 @@ def _construct(eff: dict) -> tuple[SessionParams, LoopConfig | None, RingConfig 
             source_pol=JonesState(*(complex(*c) for c in loop["source_pol"])),
             **{k: _operator(v) for k, v in loop.items() if isinstance(v, dict)},
         )
-        loop_cfg.validate()
         return params, loop_cfg, None
     ring = {k: v for k, v in eff["ring"].items() if k != "partner"}
     entities = tuple(
@@ -323,8 +333,7 @@ def _construct(eff: dict) -> tuple[SessionParams, LoopConfig | None, RingConfig 
     ring_cfg = RingConfig(
         **{**ring, "entities": entities, "link_lengths": tuple(ring["link_lengths"])}
     )
-    # flattening checks the ring, its entities, hub, delay, links and coupler
-    select_partner(ring_cfg, entities[0].id).validate()
+    select_partner(ring_cfg, entities[0].id)
     return params, None, ring_cfg
 
 
@@ -575,14 +584,8 @@ def _bisect(f, lo: float, hi: float, target: float, increasing: bool, iters: int
     return 0.5 * (lo + hi)
 
 
-def calibrate(
-    scenario: Scenario,
-    target_raw_hz: float,
-    target_qber: float,
-    *,
-    free: Sequence[str] = ("transmittance", "visibility"),
-) -> CalibrationResult:
-    """Fit the free loop parameters so the closed-form oracle hits the targets.
+def calibrate(scenario: Scenario, target_raw_hz: float, target_qber: float) -> CalibrationResult:
+    """Fit the loop's attenuator and rotation so the closed-form oracle hits the targets.
 
     Solves the in-loop attenuator transmittance against the raw (sifted) key
     rate and a polarization-rotation angle against the error rate, holding
@@ -594,9 +597,6 @@ def calibrate(
     """
     if scenario.ring is not None:
         raise ScenarioError("calibrate expects a two-party loop scenario")
-    for name in free:
-        if name not in ("transmittance", "visibility"):
-            raise ScenarioError(f"unknown free parameter {name!r}; use transmittance, visibility")
     if target_raw_hz <= 0.0:
         raise ScenarioError(f"target raw rate must be > 0, got {target_raw_hz:g}")
     if not (0.0 <= target_qber < 0.5):
@@ -620,41 +620,29 @@ def calibrate(
     angle_sol = 0.0
     t_floor = 1e-9
 
-    if "transmittance" in free:
-        r_max, r_min = rate(1.0, angle_sol), rate(t_floor, angle_sol)
-        if not (r_min <= target_raw_hz <= r_max):
-            raise ScenarioError(
-                f"target raw rate {target_raw_hz:g} Hz is not achievable; "
-                f"this scenario reaches [{r_min:.6g}, {r_max:.6g}] Hz"
-            )
-    if "visibility" in free:
-        q_floor = qber(t_sol, 0.0)
-        q_ceil = qber(t_sol, math.pi / 4.0)  # visibility 0
-        if not (q_floor - 1e-12 <= target_qber <= q_ceil + 1e-12):
-            raise ScenarioError(
-                f"target QBER {target_qber:g} is not achievable; "
-                f"this scenario reaches [{q_floor:.6g}, {q_ceil:.6g}]"
-            )
+    r_max, r_min = rate(1.0, angle_sol), rate(t_floor, angle_sol)
+    if not (r_min <= target_raw_hz <= r_max):
+        raise ScenarioError(
+            f"target raw rate {target_raw_hz:g} Hz is not achievable; "
+            f"this scenario reaches [{r_min:.6g}, {r_max:.6g}] Hz"
+        )
+    q_floor = qber(t_sol, 0.0)
+    q_ceil = qber(t_sol, math.pi / 4.0)  # visibility 0
+    if not (q_floor - 1e-12 <= target_qber <= q_ceil + 1e-12):
+        raise ScenarioError(
+            f"target QBER {target_qber:g} is not achievable; "
+            f"this scenario reaches [{q_floor:.6g}, {q_ceil:.6g}]"
+        )
 
     for _ in range(12):
-        changed = 0.0
-        if "transmittance" in free:
-            new_t = _bisect(lambda t: rate(t, angle_sol), t_floor, 1.0, target_raw_hz, increasing=True)
-            changed = max(changed, abs(new_t - t_sol))
-            t_sol = new_t
-        if "visibility" in free:
-            new_angle = _bisect(
-                lambda a: qber(t_sol, a), 0.0, math.pi / 4.0, target_qber, increasing=True
-            )
-            changed = max(changed, abs(new_angle - angle_sol))
-            angle_sol = new_angle
+        t_sol = _bisect(lambda t: rate(t, angle_sol), t_floor, 1.0, target_raw_hz, increasing=True)
+        angle_sol = _bisect(
+            lambda a: qber(t_sol, a), 0.0, math.pi / 4.0, target_qber, increasing=True
+        )
         got = evaluate(t_sol, angle_sol)
         rate_ok = abs(got.raw_rate - target_raw_hz) <= _CAL_REL_TOL * target_raw_hz
-        qber_ok = (
-            abs(got.qber - target_qber) <= _CAL_REL_TOL * max(target_qber, 1e-12)
-            or "visibility" not in free
-        )
-        if (rate_ok or "transmittance" not in free) and qber_ok:
+        qber_ok = abs(got.qber - target_qber) <= _CAL_REL_TOL * max(target_qber, 1e-12)
+        if rate_ok and qber_ok:
             break
 
     fitted = copy.deepcopy(base)
@@ -767,22 +755,26 @@ def _column(values: np.ndarray, text: Callable[[Any], str] = _fmt) -> list[str]:
     return labels[inverse].tolist()
 
 
-def transcript_csv(transcript: Transcript) -> str:
+# Rows formatted and written per chunk; bounds the strings held at once.
+TRANSCRIPT_CHUNK_ROWS = 1 << 16
+
+
+def transcript_csv(transcript: Transcript, out: TextIO) -> None:
+    """Write the transcript CSV to the text stream ``out``, one chunk of rows at a time."""
+    out.write(f"# schema loopqkd.transcript.{CSV_SCHEMA_VERSION}\n{','.join(_TRANSCRIPT_FIELDS)}\n")
     t = transcript
-    columns = (
-        map(str, range(len(t))),
-        _column(t.alice_bits),
-        _column(t.alice_bases),
-        _column(t.bob_bases),
-        _column(t.phi_a),
-        _column(t.phi_b),
-        _column(t.outcome, lambda c: _OUTCOME_NAMES[c]),
-        _column(t.sifted, lambda s: "1" if s else "0"),
-        _column(np.where(t.sifted, t.decoded, -1), lambda b: "" if b < 0 else str(b)),
-    )
-    lines = (
-        f"# schema loopqkd.transcript.{CSV_SCHEMA_VERSION}",
-        ",".join(_TRANSCRIPT_FIELDS),
-        *map(",".join, zip(*columns)),
-    )
-    return "\n".join(lines) + "\n"
+    for start in range(0, len(t), TRANSCRIPT_CHUNK_ROWS):
+        rows = slice(start, start + TRANSCRIPT_CHUNK_ROWS)
+        sifted = t.sifted[rows]
+        columns = (
+            map(str, range(len(t))[rows]),
+            _column(t.alice_bits[rows]),
+            _column(t.alice_bases[rows]),
+            _column(t.bob_bases[rows]),
+            _column(t.phi_a[rows]),
+            _column(t.phi_b[rows]),
+            _column(t.outcome[rows], lambda c: _OUTCOME_NAMES[c]),
+            _column(sifted, lambda s: "1" if s else "0"),
+            _column(np.where(sifted, t.decoded[rows], -1), lambda b: "" if b < 0 else str(b)),
+        )
+        out.write("\n".join(map(",".join, zip(*columns))) + "\n")

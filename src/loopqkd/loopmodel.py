@@ -78,7 +78,7 @@ class Component:
     owner: str | None = None
     transmittance: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         name = self.label or self.kind.value
         if self.kind in FIBER_KINDS:
             if not (self.length >= 0.0 and math.isfinite(self.length)):
@@ -117,56 +117,43 @@ class LoopConfig:
     """The full loop: components in clockwise order between the coupler ports.
 
     Exactly one phase modulator per party, one attenuator, and one delay
-    fiber are required.  ``alice_pm_index`` / ``bob_pm_index`` are derived
-    from the component list.
+    fiber are required, and ``source_pol`` must be normalized.
+    ``alice_pm_index`` / ``bob_pm_index`` are derived from the component
+    list.
     """
 
     components: tuple[Component, ...]
     coupler_ratio: float = 0.5
     source_pol: JonesState = H_POL
-    alice_pm_index: int = field(init=False, default=-1)
-    bob_pm_index: int = field(init=False, default=-1)
+    alice_pm_index: int = field(init=False)
+    bob_pm_index: int = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", tuple(self.components))
-        alice_idx = [
-            i
-            for i, c in enumerate(self.components)
-            if c.kind is ComponentKind.PHASE_MODULATOR and c.owner == "alice"
-        ]
-        bob_idx = [
-            i
-            for i, c in enumerate(self.components)
-            if c.kind is ComponentKind.PHASE_MODULATOR and c.owner == "bob"
-        ]
-        object.__setattr__(self, "alice_pm_index", alice_idx[0] if len(alice_idx) == 1 else -1)
-        object.__setattr__(self, "bob_pm_index", bob_idx[0] if len(bob_idx) == 1 else -1)
-
-    def validate(self) -> None:
         if not (0.0 < self.coupler_ratio < 1.0):
             raise ValueError(f"coupler_ratio must be in (0, 1), got {self.coupler_ratio}")
-        for c in self.components:
-            c.validate()
-        n_alice = sum(
-            1
-            for c in self.components
-            if c.kind is ComponentKind.PHASE_MODULATOR and c.owner == "alice"
-        )
-        n_bob = sum(
-            1
-            for c in self.components
-            if c.kind is ComponentKind.PHASE_MODULATOR and c.owner == "bob"
-        )
-        if n_alice != 1:
-            raise ValueError(f"loop must contain exactly one phase modulator owned by alice, got {n_alice}")
-        if n_bob != 1:
-            raise ValueError(f"loop must contain exactly one phase modulator owned by bob, got {n_bob}")
-        n_att = sum(1 for c in self.components if c.kind is ComponentKind.ATTENUATOR)
+        # a constructed Component gives an owner to phase modulators only
+        modulators: dict[str, list[int]] = {"alice": [], "bob": []}
+        n_att = n_delay = 0
+        for i, c in enumerate(self.components):
+            if c.owner is not None:
+                modulators[c.owner].append(i)
+            n_att += c.kind is ComponentKind.ATTENUATOR
+            n_delay += c.kind is ComponentKind.DELAY_FIBER
+        for owner, indices in modulators.items():
+            if len(indices) != 1:
+                raise ValueError(
+                    f"loop must contain exactly one phase modulator owned by {owner}, "
+                    f"got {len(indices)}"
+                )
         if n_att != 1:
             raise ValueError(f"loop must contain exactly one attenuator, got {n_att}")
-        n_delay = sum(1 for c in self.components if c.kind is ComponentKind.DELAY_FIBER)
         if n_delay != 1:
             raise ValueError(f"loop must contain exactly one delay fiber, got {n_delay}")
+        if not self.source_pol.is_normalized(tol=1e-9):
+            raise ValueError("source_pol must be normalized")
+        object.__setattr__(self, "alice_pm_index", modulators["alice"][0])
+        object.__setattr__(self, "bob_pm_index", modulators["bob"][0])
 
 
 @dataclass(frozen=True)
@@ -201,7 +188,6 @@ def accumulate(config: LoopConfig, direction: Direction | str) -> PathSummary:
     composes transposed matrices in reverse order.  Scalar loss multiplies
     up identically for both directions; optical length sums fiber lengths.
     """
-    config.validate()
     direction = Direction(direction)
     if direction is Direction.CW:
         ops = [c.jones for c in config.components]
@@ -256,8 +242,6 @@ class FringeCoefficients:
 
 def fringe_coefficients(config: LoopConfig) -> FringeCoefficients:
     """Reduce a loop to its interference coefficients at the coupler."""
-    if not config.source_pol.is_normalized(tol=1e-9):
-        raise ValueError("source_pol must be normalized")
     cw = accumulate(config, Direction.CW)
     ccw = accumulate(config, Direction.CCW)
     psi = config.source_pol.vector
@@ -323,7 +307,6 @@ def timing_schedule(
     modulator; a separation below ``gate_width`` is flagged as a conflict
     (returned, not raised, so parameter sweeps can scan bad geometries).
     """
-    config.validate()
     if not (group_index > 1.0):
         raise ValueError(f"group_index must exceed 1, got {group_index}")
     speed = SPEED_OF_LIGHT / group_index

@@ -27,10 +27,10 @@ from .session import DisturbanceKind, NoiseTap, SessionParams, run_session
 class Entity:
     """One ring participant's module: controller, modulator, attenuator.
 
-    ``disturbance_sigma`` > 0 makes a *non-selected* module inject a random
-    phase on each pulse pass (Gaussian of that width, or uniform over the
-    full circle); ``insertion_transmittance`` models its residual loss when
-    idle.  ``selected`` marks the current session partner.
+    ``disturbance_sigma`` > 0 makes the module, whenever its entity is not
+    the session partner, inject a random phase on each pulse pass (Gaussian
+    of that width, or uniform over the full circle);
+    ``insertion_transmittance`` models its residual loss when idle.
     """
 
     id: str
@@ -39,9 +39,8 @@ class Entity:
     insertion_transmittance: float = 1.0
     disturbance_sigma: float = 0.0
     disturbance_kind: DisturbanceKind = DisturbanceKind.GAUSSIAN
-    selected: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("entity id must be non-empty")
         if not (0.0 < self.attenuator_transmittance <= 1.0):
@@ -68,7 +67,7 @@ class RingConfig:
     coupler_ratio: float = 0.5
     source_pol: JonesState = H_POL
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if len(self.entities) < 1:
             raise ValueError("ring needs at least one entity")
         if len(self.link_lengths) != len(self.entities) + 1:
@@ -79,10 +78,6 @@ class RingConfig:
         ids = [e.id for e in self.entities]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate entity ids in ring: {ids}")
-        if sum(1 for e in self.entities if e.selected) > 1:
-            raise ValueError("at most one entity may be selected per session")
-        for e in self.entities:
-            e.validate()
         for length in self.link_lengths:
             if not (length >= 0.0):
                 raise ValueError(f"link length must be >= 0, got {length}")
@@ -100,7 +95,6 @@ def select_partner(ring: RingConfig, partner_id: str) -> LoopConfig:
     loss.  A one-entity ring therefore flattens to exactly the standard
     two-party loop geometry.
     """
-    ring.validate()
     if partner_id not in ring.entity_ids():
         raise ValueError(
             f"unknown entity id {partner_id!r}; ring has {', '.join(ring.entity_ids())}"

@@ -49,7 +49,7 @@ class SourceParams:
     rep_rate: float = 100e3
     wavelength: float = 830e-9
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (self.mu >= 0.0 and math.isfinite(self.mu)):
             raise ValueError(f"source.mu must be >= 0, got {self.mu}")
         if not (self.rep_rate > 0.0):
@@ -71,7 +71,7 @@ class DetectorParams:
     dark_prob: float = 0.0
     double_click_policy: DoubleClickPolicy = DoubleClickPolicy.DISCARD
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (0.0 <= self.efficiency <= 1.0):
             raise ValueError(f"detectors.efficiency must be in [0, 1], got {self.efficiency}")
         if not (0.0 <= self.dark_prob < 1.0):
@@ -197,8 +197,6 @@ def expected_session(
     counts an error when a sifted click decodes to the wrong bit
     (detector 1 -> 0, detector 2 -> 1).
     """
-    src.validate()
-    det.validate()
     law = cell_click_law(fringe_coefficients(config), phase_table, src, det)
     q_d1, q_d2, q_both = law.q_d1.tolist(), law.q_d2.tolist(), law.q_both.tolist()
     policy = det.double_click_policy

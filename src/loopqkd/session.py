@@ -91,7 +91,7 @@ class NoiseTap:
     kind: DisturbanceKind = DisturbanceKind.GAUSSIAN
     tag: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (self.sigma >= 0.0):
             raise ValueError(f"disturbance sigma must be >= 0, got {self.sigma}")
 
@@ -110,7 +110,7 @@ class SessionParams:
     table: PhaseTable = field(default_factory=lambda: PHASE_CODING)
     batch_size: int = DEFAULT_BATCH_SIZE
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.pulses < 1:
@@ -121,9 +121,6 @@ class SessionParams:
             )
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        self.source.validate()
-        self.detectors.validate()
-        self.eve.validate()
 
 
 def run_session(
@@ -135,7 +132,8 @@ def run_session(
     """Execute a full session: loop optics -> click sampling -> sifting counts.
 
     Deterministic given (config, params, noise); see the module docstring
-    for the substream layout.  Without a live noise tap (a Gaussian tap
+    for the substream layout.  Every parameter object checked itself when
+    it was built, so nothing is re-checked here.  Without a live noise tap (a Gaussian tap
     with sigma 0 is dead and draws nothing), each pulse's thresholds are
     gathered from the 8-cell table built once from ``cell_click_law``;
     with one, they are computed per pulse by ``ClickLaw.at_phase``.  Both
@@ -144,9 +142,6 @@ def run_session(
     each batch's arrays are kept and concatenated once at the end, a few
     tens of bytes per pulse.
     """
-    params.validate()
-    for tap in noise:
-        tap.validate()
     fc = fringe_coefficients(config)
     root = RngStream(params.seed)
     table = params.table

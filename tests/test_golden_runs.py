@@ -11,10 +11,12 @@ CLI cases do not: several batches and ``swap_detector_bits``.
 """
 
 import hashlib
+import io
 from pathlib import Path
 
 import pytest
 
+from loopqkd import harness
 from loopqkd.bb84 import EveConfig, EveStrategy
 from loopqkd.cli import main
 from loopqkd.harness import transcript_csv
@@ -118,6 +120,13 @@ def test_output_bytes_match_golden(case, tmp_path):
     assert run_case(case, tmp_path) == CASES[case][1]
 
 
+def test_transcript_chunks_keep_the_bytes(monkeypatch, tmp_path):
+    # 3000 rows in chunks of 1024: two full chunks and a short one
+    monkeypatch.setattr(harness, "TRANSCRIPT_CHUNK_ROWS", 1024)
+    case = "paper_calibrated_transcript"
+    assert run_case(case, tmp_path) == CASES[case][1]
+
+
 # 5003 pulses in batches of 1 << 10: four full batches and a short one,
 # each on its own substreams, with Eve, random_assign, swapped detector
 # bits and a disclosed subset of one half.
@@ -139,5 +148,6 @@ def test_multi_batch_transcript_matches_golden():
         batch_size=1 << 10,
     )
     _, transcript = run_session(cfg, params, collect_records=True)
-    text = transcript_csv(transcript)
-    assert hashlib.sha256(text.encode()).hexdigest() == MULTI_BATCH_TRANSCRIPT
+    out = io.StringIO()
+    transcript_csv(transcript, out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == MULTI_BATCH_TRANSCRIPT

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import io
 import math
 import re
 from pathlib import Path
@@ -26,6 +27,7 @@ from loopqkd.harness import (
     sweep_csv,
     transcript_csv,
 )
+from loopqkd.jones import JonesOperator
 from loopqkd.loopmodel import fringe_coefficients
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -433,6 +435,10 @@ MALFORMED = {
         _entity(disturbance_sigma=-math.inf),
         "ring.entities[0].disturbance_sigma: expected a finite number, got -inf",
     ),
+    "jones_seed_negative": (
+        _loop(delay_jones={"kind": "random_unitary", "seed": -1}),
+        "loop.delay_jones.seed: expected a non-negative integer, got -1",
+    ),
 }
 
 
@@ -440,6 +446,24 @@ MALFORMED = {
 def test_malformed_scenario_message(raw, message):
     with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
         build_scenario(copy.deepcopy(raw))
+
+
+def test_each_component_is_checked_once(monkeypatch):
+    """One passivity check per component across a loop's build, oracle and run."""
+    calls = 0
+    is_diattenuator = JonesOperator.is_diattenuator
+
+    def counted(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return is_diattenuator(self, *args, **kwargs)
+
+    monkeypatch.setattr(JonesOperator, "is_diattenuator", counted)
+    raw = yaml.safe_load((SCENARIOS / "paper_calibrated.yaml").read_text(encoding="utf-8"))
+    sc = build_scenario(raw)
+    expected_for_scenario(sc)
+    run(sc, pulses=1000)
+    assert calls == len(sc.loop.components) == 9
 
 
 # Digest and sha256 of the dumped effective mapping of every shipped scenario.
@@ -804,8 +828,9 @@ def test_csv_formats_nine_significant_digits():
 def test_transcript_csv_round_trips_outcomes():
     sc = load_scenario(str(SCENARIOS / "paper_ideal.yaml"))
     report, transcript = run(sc, pulses=500, collect_records=True)
-    text = transcript_csv(transcript)
-    lines = text.splitlines()
+    out = io.StringIO()
+    transcript_csv(transcript, out)
+    lines = out.getvalue().splitlines()
     assert lines[0] == "# schema loopqkd.transcript.v1"
     assert len(lines) == 502
     sifted_rows = [ln for ln in lines[2:] if ln.split(",")[7] == "1"]

@@ -99,13 +99,12 @@ def test_accumulate_ccw_is_backward_of_cw():
 def test_accumulate_rejects_invalid_config():
     cfg = standard_loop()
     comps = tuple(c for c in cfg.components if c.kind is not ComponentKind.ATTENUATOR)
-    bad = LoopConfig(comps, 0.5, H_POL)
     with pytest.raises(ValueError, match="attenuator"):
-        accumulate(bad, Direction.CW)
+        accumulate(LoopConfig(comps, 0.5, H_POL), Direction.CW)
     with pytest.raises(ValueError, match="coupler_ratio"):
         accumulate(LoopConfig(cfg.components, 1.5, H_POL), Direction.CW)
     with pytest.raises(ValueError, match="owner"):
-        Component(ComponentKind.PHASE_MODULATOR, owner="carol").validate()
+        Component(ComponentKind.PHASE_MODULATOR, owner="carol")
 
 
 # ---------------------------------------------------------------- detection
@@ -157,9 +156,8 @@ def test_detection_matches_amplitude_chain_oracle():
 
 
 def test_detection_rejects_unnormalized_source():
-    cfg = standard_loop(source_pol=JonesState(1.0, 1.0))
     with pytest.raises(ValueError, match="normalized"):
-        detection_probs(cfg, PhasePair(0.0, 0.0))
+        detection_probs(standard_loop(source_pol=JonesState(1.0, 1.0)), PhasePair(0.0, 0.0))
 
 
 def test_phase_drift_immunity():
@@ -325,13 +323,13 @@ def test_phase_pair_reduction_and_delta():
 
 def test_component_validation_messages():
     with pytest.raises(ValueError, match="length"):
-        Component(ComponentKind.FIBER, label="f", length=-1.0).validate()
+        Component(ComponentKind.FIBER, label="f", length=-1.0)
     with pytest.raises(ValueError, match="transmittance"):
-        Component(ComponentKind.ATTENUATOR, label="a", transmittance=0.0).validate()
+        Component(ComponentKind.ATTENUATOR, label="a", transmittance=0.0)
     with pytest.raises(ValueError, match="singular value"):
         Component(
             ComponentKind.PDL_ELEMENT, label="p", jones=JonesOperator(np.diag([2.0, 1.0]))
-        ).validate()
+        )
 
 
 def test_loop_indexes_phase_modulators():

@@ -79,16 +79,11 @@ def test_unknown_partner_rejected():
 
 def test_ring_validation():
     with pytest.raises(ValueError, match="link fibers"):
-        RingConfig(entities=(Entity(id="a"),), link_lengths=(100.0,)).validate()
+        RingConfig(entities=(Entity(id="a"),), link_lengths=(100.0,))
     with pytest.raises(ValueError, match="duplicate"):
         RingConfig(
             entities=(Entity(id="a"), Entity(id="a")), link_lengths=(1.0, 1.0, 1.0)
-        ).validate()
-    with pytest.raises(ValueError, match="selected"):
-        RingConfig(
-            entities=(Entity(id="a", selected=True), Entity(id="b", selected=True)),
-            link_lengths=(1.0, 1.0, 1.0),
-        ).validate()
+        )
 
 
 def test_entity_order_permutation_preserves_fringe():

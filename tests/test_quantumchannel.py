@@ -114,11 +114,11 @@ def test_click_probability_monotone(p1, p2, mu, eta, dark, bump):
 
 def test_invalid_inputs_rejected():
     with pytest.raises(ValueError, match="mu"):
-        SourceParams(mu=-1.0).validate()
+        SourceParams(mu=-1.0)
     with pytest.raises(ValueError, match="efficiency"):
-        DetectorParams(efficiency=1.5).validate()
+        DetectorParams(efficiency=1.5)
     with pytest.raises(ValueError, match="dark_prob"):
-        DetectorParams(dark_prob=1.0).validate()
+        DetectorParams(dark_prob=1.0)
 
 
 # ---------------------------------------------------------------- sampling

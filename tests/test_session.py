@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -96,7 +97,9 @@ def test_engine_counts_agree_with_record_sift():
     )
     stats, transcript = run_session(cfg, params, collect_records=True)
     assert transcript is not None and len(transcript) == 20_000
-    records = parse_transcript(transcript_csv(transcript))
+    out = io.StringIO()
+    transcript_csv(transcript, out)
+    records = parse_transcript(out.getvalue())
     assert [r.index for r in records] == list(range(20_000))
     resifted = sift(records, rep_rate=params.source.rep_rate)
     assert resifted.stats.raw_clicks == stats.raw_clicks
@@ -248,11 +251,16 @@ def test_noise_tap_gaussian_matches_expectation():
 def test_session_params_validation():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match="seed"):
-            SessionParams(pulses=10, seed=seed).validate()
-    SessionParams(pulses=10, seed=2**64 - 1).validate()
+            SessionParams(pulses=10, seed=seed)
+    SessionParams(pulses=10, seed=2**64 - 1)
     with pytest.raises(ValueError, match="pulses"):
-        SessionParams(pulses=0, seed=1).validate()
+        SessionParams(pulses=0, seed=1)
     with pytest.raises(ValueError, match="disclosed_fraction"):
-        SessionParams(pulses=10, seed=1, disclosed_fraction=0.0).validate()
+        SessionParams(pulses=10, seed=1, disclosed_fraction=0.0)
     with pytest.raises(ValueError, match="fraction"):
-        SessionParams(pulses=10, seed=1, eve=EveConfig(fraction=1.5)).validate()
+        SessionParams(pulses=10, seed=1, eve=EveConfig(fraction=1.5))
+    with pytest.raises(ValueError, match="batch_size"):
+        SessionParams(pulses=10, seed=1, batch_size=0)
+    for sigma in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="disturbance sigma"):
+            NoiseTap(sigma=sigma)
