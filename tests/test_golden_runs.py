@@ -7,7 +7,10 @@ table and its noise-tap path must reproduce those bytes exactly, at the
 default seeds of the shipped scenarios and on a test-local ring that puts a
 noise tap, an eavesdropper, ``random_assign`` and a disclosed subset below
 one to work together.  A direct ``run_session`` transcript covers what the
-CLI cases do not: several batches and ``swap_detector_bits``.
+CLI cases do not: several batches and ``swap_detector_bits``.  The fitted
+scenario that ``calibrate`` writes is pinned the same way, on the shipped
+calibration base and on a base with birefringent links, loss, an unbalanced
+coupler and an elliptical source.
 """
 
 import hashlib
@@ -102,6 +105,30 @@ CASES = {
 }
 
 
+# Not trivial for the fit: Haar-random link birefringence, fiber loss, a
+# coupler off one half and a source off the horizontal axis.
+BIREFRINGENT_BASE = """\
+seed: 20011215
+source: {mu: 0.1, rep_rate: 100000.0, wavelength: 8.3e-07}
+detectors: {efficiency: 0.45, dark_prob: 1.0e-05}
+protocol: {pulses: 10000000, double_click_policy: discard, disclosed_fraction: 1.0}
+loop:
+  loss_db_per_km: 1.0
+  coupler_ratio: 0.49
+  source_pol: [[0.6, 0.0], [0.0, 0.8]]
+  upper_jones: {kind: random_unitary, seed: 2}
+  lower_jones: {kind: random_unitary, seed: 12}
+eve: {strategy: "off", fraction: 0.0}
+"""
+
+# base -> sha256 of the fitted YAML for 1200 Hz raw key at QBER 0.054; the
+# shipped base's fit is the paper_calibrated scenario's dump
+CALIBRATE_CASES = {
+    "calibration_base": "62ced0108c96e1c122e5b28e8a9615e264d4d7464200036c406eff9dd925d137",
+    "birefringent_base": "964df6b5f7fc8f5a8378407e06aaa32d39a1e1f62ddd7205db434432078e515e",
+}
+
+
 def run_case(case: str, tmp_path: Path) -> dict[str, str]:
     """Run one case through the CLI; return the sha256 of each output file."""
     argv, want = CASES[case]
@@ -118,6 +145,18 @@ def run_case(case: str, tmp_path: Path) -> dict[str, str]:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_output_bytes_match_golden(case, tmp_path):
     assert run_case(case, tmp_path) == CASES[case][1]
+
+
+@pytest.mark.parametrize("case", sorted(CALIBRATE_CASES))
+def test_calibrate_output_bytes_match_golden(case, tmp_path):
+    base = SCENARIOS / "calibration_base.yaml"
+    if case == "birefringent_base":
+        base = tmp_path / "base.yaml"
+        base.write_text(BIREFRINGENT_BASE)
+    out = tmp_path / "fitted.yaml"
+    argv = ["calibrate", str(base), "--target-raw", "1200", "--target-qber", "0.054"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CALIBRATE_CASES[case]
 
 
 def test_transcript_chunks_keep_the_bytes(monkeypatch, tmp_path):
