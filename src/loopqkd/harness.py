@@ -31,9 +31,10 @@ import yaml
 from . import jones
 from .bb84 import PHASE_CODING, EveConfig, EveStrategy, SessionStats, Transcript
 from .jones import JonesOperator, JonesState
-from .loopmodel import LoopConfig, fringe_coefficients, standard_loop
+from .loopmodel import LoopConfig, fringe_coefficients, loop_fold, standard_loop
 from .loopnet import DisturbanceKind, Entity, RingConfig, run_network_session, select_partner
 from .quantumchannel import ClickOutcome, DetectorParams, DoubleClickPolicy, SourceParams
+from .quantumchannel import ExpectedSession, expected_session
 from .session import SessionParams, run_session
 
 
@@ -443,11 +444,8 @@ def run(
 
 def expected_for_scenario(scenario: Scenario, partner: str | None = None):
     """Closed-form session expectation for this scenario's loop and parameters."""
-    from .quantumchannel import expected_session
-
-    return expected_session(
-        scenario.effective_loop(partner), PHASE_CODING, scenario.source, scenario.detectors
-    )
+    fc = fringe_coefficients(scenario.effective_loop(partner))
+    return expected_session(fc, PHASE_CODING, scenario.source, scenario.detectors)
 
 
 # --------------------------------------------------------------------------
@@ -576,6 +574,9 @@ _CAL_REL_TOL = 1e-6
 def _bisect(f, lo: float, hi: float, target: float, increasing: bool, iters: int = 80) -> float:
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            # the bracket is two adjacent floats: every further step returns mid
+            return mid
         val = f(mid)
         if (val < target) == increasing:
             lo = mid
@@ -591,9 +592,12 @@ def calibrate(scenario: Scenario, target_raw_hz: float, target_qber: float) -> C
     rate and a polarization-rotation angle against the error rate, holding
     the scenario's detector efficiency and dark probability fixed.  Both
     one-dimensional solves are bisections on the exact expectation; the pair
-    is alternated until residuals are below 1e-6 relative.  The rotation is
-    circular birefringence, which the counter-propagating loop does not
-    cancel, so it realizes exactly the fitted visibility cos(2 * angle).
+    is alternated until residuals are below 1e-6 relative, or fails after
+    12 rounds.  The rotation is circular birefringence, which the
+    counter-propagating loop does not cancel, so it realizes exactly the
+    fitted visibility cos(2 * angle).  Each evaluation applies the two
+    settings to a ``loopmodel.loop_fold`` made once; only the fitted
+    scenario is built, and checked, by ``build_scenario``.
     """
     if scenario.ring is not None:
         raise ScenarioError("calibrate expects a two-party loop scenario")
@@ -602,32 +606,24 @@ def calibrate(scenario: Scenario, target_raw_hz: float, target_qber: float) -> C
     if not (0.0 <= target_qber < 0.5):
         raise ScenarioError(f"target QBER must be in [0, 0.5), got {target_qber:g}")
 
-    base = copy.deepcopy(scenario.effective)
+    fold = loop_fold(scenario.loop)
 
-    def evaluate(transmittance: float, angle: float):
-        eff = copy.deepcopy(base)
-        eff["loop"]["attenuator_transmittance"] = float(transmittance)
-        eff["loop"]["delay_jones"] = {"kind": "rotation", "angle": float(angle)}
-        return expected_for_scenario(build_scenario(eff))
+    def expect(transmittance: float, angle: float) -> ExpectedSession:
+        fc = fold.at(transmittance, jones.rotation(angle))
+        return expected_session(fc, PHASE_CODING, scenario.source, scenario.detectors)
 
-    def rate(t: float, angle: float) -> float:
-        return evaluate(t, angle).raw_rate
-
-    def qber(t: float, angle: float) -> float:
-        return evaluate(t, angle).qber
-
-    t_sol = base["loop"]["attenuator_transmittance"]
+    t_sol = scenario.effective["loop"]["attenuator_transmittance"]
     angle_sol = 0.0
     t_floor = 1e-9
 
-    r_max, r_min = rate(1.0, angle_sol), rate(t_floor, angle_sol)
+    r_max, r_min = expect(1.0, angle_sol).raw_rate, expect(t_floor, angle_sol).raw_rate
     if not (r_min <= target_raw_hz <= r_max):
         raise ScenarioError(
             f"target raw rate {target_raw_hz:g} Hz is not achievable; "
             f"this scenario reaches [{r_min:.6g}, {r_max:.6g}] Hz"
         )
-    q_floor = qber(t_sol, 0.0)
-    q_ceil = qber(t_sol, math.pi / 4.0)  # visibility 0
+    q_floor = expect(t_sol, 0.0).qber
+    q_ceil = expect(t_sol, math.pi / 4.0).qber  # visibility 0
     if not (q_floor - 1e-12 <= target_qber <= q_ceil + 1e-12):
         raise ScenarioError(
             f"target QBER {target_qber:g} is not achievable; "
@@ -635,17 +631,24 @@ def calibrate(scenario: Scenario, target_raw_hz: float, target_qber: float) -> C
         )
 
     for _ in range(12):
-        t_sol = _bisect(lambda t: rate(t, angle_sol), t_floor, 1.0, target_raw_hz, increasing=True)
-        angle_sol = _bisect(
-            lambda a: qber(t_sol, a), 0.0, math.pi / 4.0, target_qber, increasing=True
+        t_sol = _bisect(
+            lambda t: expect(t, angle_sol).raw_rate, t_floor, 1.0, target_raw_hz, increasing=True
         )
-        got = evaluate(t_sol, angle_sol)
+        angle_sol = _bisect(
+            lambda a: expect(t_sol, a).qber, 0.0, math.pi / 4.0, target_qber, increasing=True
+        )
+        got = expect(t_sol, angle_sol)
         rate_ok = abs(got.raw_rate - target_raw_hz) <= _CAL_REL_TOL * target_raw_hz
         qber_ok = abs(got.qber - target_qber) <= _CAL_REL_TOL * max(target_qber, 1e-12)
         if rate_ok and qber_ok:
             break
+    else:
+        raise ScenarioError(
+            f"calibrate did not converge: it reaches raw rate {got.raw_rate:.6g} Hz "
+            f"and QBER {got.qber:.6g} for targets {target_raw_hz:g} Hz and {target_qber:g}"
+        )
 
-    fitted = copy.deepcopy(base)
+    fitted = copy.deepcopy(scenario.effective)
     fitted["loop"]["attenuator_transmittance"] = float(t_sol)
     fitted["loop"]["delay_jones"] = {"kind": "rotation", "angle": float(angle_sol)}
     fitted_scenario = build_scenario(fitted)

@@ -23,15 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jones import (
-    H_POL,
-    IDENTITY,
-    JonesOperator,
-    JonesState,
-    TWO_PI,
-    backward,
-    compose,
-)
+from .jones import H_POL, IDENTITY, JonesOperator, JonesState, backward, compose
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, vacuum
 
@@ -118,8 +110,8 @@ class LoopConfig:
 
     Exactly one phase modulator per party, one attenuator, and one delay
     fiber are required, and ``source_pol`` must be normalized.
-    ``alice_pm_index`` / ``bob_pm_index`` are derived from the component
-    list.
+    ``alice_pm_index``, ``bob_pm_index``, ``attenuator_index`` and
+    ``delay_index`` are derived from the component list.
     """
 
     components: tuple[Component, ...]
@@ -127,6 +119,8 @@ class LoopConfig:
     source_pol: JonesState = H_POL
     alice_pm_index: int = field(init=False)
     bob_pm_index: int = field(init=False)
+    attenuator_index: int = field(init=False)
+    delay_index: int = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", tuple(self.components))
@@ -134,76 +128,26 @@ class LoopConfig:
             raise ValueError(f"coupler_ratio must be in (0, 1), got {self.coupler_ratio}")
         # a constructed Component gives an owner to phase modulators only
         modulators: dict[str, list[int]] = {"alice": [], "bob": []}
-        n_att = n_delay = 0
         for i, c in enumerate(self.components):
             if c.owner is not None:
                 modulators[c.owner].append(i)
-            n_att += c.kind is ComponentKind.ATTENUATOR
-            n_delay += c.kind is ComponentKind.DELAY_FIBER
         for owner, indices in modulators.items():
             if len(indices) != 1:
                 raise ValueError(
                     f"loop must contain exactly one phase modulator owned by {owner}, "
                     f"got {len(indices)}"
                 )
-        if n_att != 1:
-            raise ValueError(f"loop must contain exactly one attenuator, got {n_att}")
-        if n_delay != 1:
-            raise ValueError(f"loop must contain exactly one delay fiber, got {n_delay}")
+        kinds = [c.kind for c in self.components]
+        for kind in (ComponentKind.ATTENUATOR, ComponentKind.DELAY_FIBER):
+            if kinds.count(kind) != 1:
+                name = kind.value.replace("_", " ")
+                raise ValueError(f"loop must contain exactly one {name}, got {kinds.count(kind)}")
         if not self.source_pol.is_normalized(tol=1e-9):
             raise ValueError("source_pol must be normalized")
         object.__setattr__(self, "alice_pm_index", modulators["alice"][0])
         object.__setattr__(self, "bob_pm_index", modulators["bob"][0])
-
-
-@dataclass(frozen=True)
-class PhasePair:
-    """Per-pulse modulator settings (phi_a on Alice's PM, phi_b on Bob's)."""
-
-    phi_a: float
-    phi_b: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phi_a", float(self.phi_a) % TWO_PI)
-        object.__setattr__(self, "phi_b", float(self.phi_b) % TWO_PI)
-
-    @property
-    def delta(self) -> float:
-        return (self.phi_a - self.phi_b) % TWO_PI
-
-
-@dataclass(frozen=True, eq=False)
-class PathSummary:
-    """Accumulated effect of one traversal direction, phase modulators excluded."""
-
-    jones_total: JonesOperator
-    amplitude_transmittance: float
-    optical_length: float
-
-
-def accumulate(config: LoopConfig, direction: Direction | str) -> PathSummary:
-    """Fold the loop's components into a single path operator.
-
-    Clockwise composes forward matrices in list order; counterclockwise
-    composes transposed matrices in reverse order.  Scalar loss multiplies
-    up identically for both directions; optical length sums fiber lengths.
-    """
-    direction = Direction(direction)
-    if direction is Direction.CW:
-        ops = [c.jones for c in config.components]
-    else:
-        ops = [backward(c.jones) for c in reversed(config.components)]
-    power = 1.0
-    length = 0.0
-    for c in config.components:
-        power *= c.power_transmittance()
-        if c.kind in FIBER_KINDS:
-            length += c.length
-    return PathSummary(
-        jones_total=compose(ops),
-        amplitude_transmittance=math.sqrt(power),
-        optical_length=length,
-    )
+        object.__setattr__(self, "attenuator_index", kinds.index(ComponentKind.ATTENUATOR))
+        object.__setattr__(self, "delay_index", kinds.index(ComponentKind.DELAY_FIBER))
 
 
 @dataclass(frozen=True)
@@ -240,30 +184,74 @@ class FringeCoefficients:
         return abs(self.cross) / denom
 
 
-def fringe_coefficients(config: LoopConfig) -> FringeCoefficients:
-    """Reduce a loop to its interference coefficients at the coupler."""
-    cw = accumulate(config, Direction.CW)
-    ccw = accumulate(config, Direction.CCW)
-    psi = config.source_pol.vector
-    v_cw = cw.amplitude_transmittance * (cw.jones_total.m @ psi)
-    v_ccw = ccw.amplitude_transmittance * (ccw.jones_total.m @ psi)
-    return FringeCoefficients(
-        power_ccw=float(np.vdot(v_ccw, v_ccw).real),
-        power_cw=float(np.vdot(v_cw, v_cw).real),
-        cross=complex(np.vdot(v_ccw, v_cw)),
+@dataclass(frozen=True, eq=False)
+class LoopFold:
+    """A loop folded once around its two settings: attenuator and delay matrix.
+
+    Clockwise composes forward matrices in component order, counterclockwise
+    transposed ones in reverse.  Per direction (clockwise first), ``prefixes``
+    is the product of the operators before the delay fiber (None if there
+    are none) and ``suffixes`` the operators after it.  These, and the
+    powers after the attenuator, are applied one at a time, so ``at`` rounds
+    as a fold over the whole loop: bit for bit, the fringe of the rebuilt loop.
+    """
+
+    prefixes: tuple[np.ndarray | None, np.ndarray | None]
+    suffixes: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
+    power_before: float
+    powers_after: tuple[float, ...]
+    source: np.ndarray
+    kappa: float
+
+    def paths(self, delay: np.ndarray) -> list[np.ndarray]:
+        """Clockwise and counterclockwise path operators for clockwise delay matrix ``delay``."""
+        out = []
+        for d, prefix, suffix in zip((delay, delay.T), self.prefixes, self.suffixes):
+            total = d if prefix is None else d @ prefix
+            for m in suffix:
+                total = m @ total
+            out.append(total)
+        return out
+
+    def power(self, transmittance: float) -> float:
+        """Power transmittance of either direction, attenuator set to ``transmittance``."""
+        return math.prod(self.powers_after, start=self.power_before * transmittance)
+
+    def at(self, transmittance: float, delay: np.ndarray) -> FringeCoefficients:
+        """Fringe with the attenuator at ``transmittance`` and clockwise delay matrix ``delay``."""
+        amplitude = math.sqrt(self.power(transmittance))
+        v_cw, v_ccw = (amplitude * (path @ self.source) for path in self.paths(delay))
+        return FringeCoefficients(
+            power_ccw=float(np.vdot(v_ccw, v_ccw).real),
+            power_cw=float(np.vdot(v_cw, v_cw).real),
+            cross=complex(np.vdot(v_ccw, v_cw)),
+            kappa=self.kappa,
+        )
+
+
+def loop_fold(config: LoopConfig) -> LoopFold:
+    """Fold everything in a loop except its attenuator setting and delay matrix."""
+    comps, d, a = config.components, config.delay_index, config.attenuator_index
+    before, after = comps[:d], comps[d + 1 :]
+    return LoopFold(
+        prefixes=(
+            compose([c.jones for c in before]).m if before else None,
+            compose([backward(c.jones) for c in reversed(after)]).m if after else None,
+        ),
+        suffixes=(tuple(c.jones.m for c in after), tuple(c.jones.m.T for c in reversed(before))),
+        power_before=math.prod((c.power_transmittance() for c in comps[:a]), start=1.0),
+        powers_after=tuple(c.power_transmittance() for c in comps[a + 1 :]),
+        source=config.source_pol.vector,
         kappa=config.coupler_ratio,
     )
 
 
-def detection_probs(config: LoopConfig, phases: PhasePair) -> tuple[float, float]:
-    """Per-photon probabilities of reaching detector 1 and detector 2.
-
-    For an ideal lossless loop these are cos^2(delta/2) and sin^2(delta/2)
-    with delta = phi_a - phi_b; loss makes p1 + p2 < 1.  Only the phase
-    difference matters because the modulator shifts are scalar factors on
-    the two counter-propagating amplitudes.
-    """
-    return fringe_coefficients(config).probs(phases.delta)
+def fringe_coefficients(config: LoopConfig) -> FringeCoefficients:
+    """Reduce a loop to its interference coefficients at the coupler."""
+    return loop_fold(config).at(
+        config.components[config.attenuator_index].transmittance,
+        config.components[config.delay_index].jones.m,
+    )
 
 
 def pdl_penalty(config: LoopConfig) -> float:

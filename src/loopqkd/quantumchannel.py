@@ -1,11 +1,12 @@
 """Weak-pulse photon statistics and detector click modeling.
 
-An attenuated laser pulse carries a Poisson-distributed photon number with
-mean mu.  Each photon independently reaches detector i with probability
-p_i (from the loop optics) and fires it with probability eta, so the
-photon-induced no-click probability at detector i is exp(-mu * eta * p_i)
-and the two detectors are independent (Poisson thinning).  Dark counts add
-an independent per-gate click probability to each detector.
+A weak laser pulse launched into the loop carries a Poisson-distributed
+photon number with mean mu.  Each photon independently reaches detector i
+with probability p_i (from the loop optics, its attenuator and fiber loss
+included) and fires it with probability eta, so the photon-induced
+no-click probability at detector i is exp(-mu * eta * p_i) and the two
+detectors are independent (Poisson thinning).  Dark counts add an
+independent per-gate click probability to each detector.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .loopmodel import FringeCoefficients, LoopConfig, fringe_coefficients
+from .loopmodel import FringeCoefficients
 
 _MASK64 = (1 << 64) - 1
 
@@ -39,7 +40,8 @@ class ClickOutcome(Enum):
 class SourceParams:
     """Pulsed weak-coherent source.
 
-    mu: mean photon number per pulse (after the in-loop attenuator).
+    mu: mean photon number per pulse launched into the loop at the coupler;
+    the loop's attenuator and fiber loss act on it through the fringe.
     rep_rate: pulse repetition rate in Hz.
     wavelength: meters; carried for reporting, the optics model is
     wavelength-independent.
@@ -183,21 +185,22 @@ class ExpectedSession:
 
 
 def expected_session(
-    config: LoopConfig,
+    fc: FringeCoefficients,
     phase_table,
     src: SourceParams,
     det: DetectorParams,
 ) -> ExpectedSession:
     """Exact session expectations by enumerating the 8 equally likely choice cells.
 
-    ``phase_table`` supplies the protocol's phase coding (a ``bb84.PhaseTable``).
+    ``fc`` is the loop's fringe and ``phase_table`` the protocol's phase
+    coding (a ``bb84.PhaseTable``).
     The cells' click law is ``cell_click_law``, the same table whose
     thresholds the session engine samples from.  Averages over uniform
     independent bit and basis choices, applies the double-click policy, and
     counts an error when a sifted click decodes to the wrong bit
     (detector 1 -> 0, detector 2 -> 1).
     """
-    law = cell_click_law(fringe_coefficients(config), phase_table, src, det)
+    law = cell_click_law(fc, phase_table, src, det)
     q_d1, q_d2, q_both = law.q_d1.tolist(), law.q_d2.tolist(), law.q_both.tolist()
     policy = det.double_click_policy
     sifted = 0.0

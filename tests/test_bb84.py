@@ -13,7 +13,7 @@ from loopqkd.bb84 import (
     wilson_interval,
 )
 from loopqkd.jones import rotator
-from loopqkd.loopmodel import PhasePair, detection_probs, standard_loop
+from loopqkd.loopmodel import fringe_coefficients, standard_loop
 from loopqkd.quantumchannel import (
     ClickLaw,
     ClickOutcome,
@@ -99,13 +99,12 @@ def test_decode_mapping():
 
 
 def test_matched_basis_ideal_optics_is_deterministic():
-    cfg = standard_loop()
+    fc = fringe_coefficients(standard_loop())
     src = SourceParams(mu=0.2)
     det = DetectorParams()
     for basis in (0, 1):
         for bit in (0, 1):
-            phases = PhasePair(PHASE_CODING.alice(basis, bit), PHASE_CODING.bob(basis))
-            p1, p2 = detection_probs(cfg, phases)
+            p1, p2 = fc.probs(PHASE_CODING.alice(basis, bit) - PHASE_CODING.bob(basis))
             law = ClickLaw(*no_click_probabilities(p1, p2, src, det))
             assert law.q_both == 0.0
             if bit == 0:

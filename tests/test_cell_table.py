@@ -94,7 +94,7 @@ def test_gathered_cell_thresholds_equal_per_pulse_thresholds(cfg, src, det, seed
 @settings(max_examples=60, deadline=None)
 @given(loops, sources, detectors)
 def test_expected_session_equals_per_cell_formula(cfg, src, det):
-    exp = expected_session(cfg, PHASE_CODING, src, det)
+    exp = expected_session(fringe_coefficients(cfg), PHASE_CODING, src, det)
     sifted, errors, clicks = per_cell_expected(cfg, PHASE_CODING, src, det)
     assert (exp.sifted_prob, exp.error_prob, exp.raw_click_prob) == (sifted, errors, clicks)
     assert exp.raw_rate == src.rep_rate * sifted

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 from loopqkd.cli import main
 
@@ -141,6 +142,21 @@ def test_calibrate_command(tmp_path):
     assert "rotation" in text
     rerun = main(["run", str(out), "--pulses", "50000", "--out", str(tmp_path / "rr.csv")])
     assert rerun == 0
+
+
+def test_calibrate_that_does_not_converge_exits_1(tmp_path, capsys):
+    # the QBER floor is checked at the base attenuator, but the fitted one is
+    # so low that the dark counts alone put the QBER above the target
+    raw = yaml.safe_load((SCENARIOS / "calibration_base.yaml").read_text(encoding="utf-8"))
+    raw["detectors"]["dark_prob"] = 1e-4
+    base, out = tmp_path / "dark.yaml", tmp_path / "fitted.yaml"
+    base.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    argv = ["calibrate", str(base), "--target-raw", "50", "--target-qber", "0.02"]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "did not converge" in err
+    assert "raw rate 50 Hz and QBER 0.09991" in err
+    assert not out.exists()
 
 
 def test_console_entry_point_runs_in_subprocess(tmp_path):

@@ -807,6 +807,65 @@ def test_calibrate_rejects_infeasible_targets():
         calibrate(sc, target_raw_hz=1200.0, target_qber=0.9)
 
 
+def reference_bisect(f, lo, hi, target, increasing, iters=80):
+    """Plain bisection: every one of the iterations evaluates f."""
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if (f(mid) < target) == increasing:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi, target, increasing",
+    [
+        (math.exp, -3.0, 2.0, 1.7, True),
+        (lambda x: -(x**3), -1.0, 1.0, 0.2, False),
+        (math.log1p, 1e-9, 1.0, 0.3, True),
+        (math.atan, 0.0, 1e-300, 3e-301, True),
+        (lambda x: x, 1.0, 1.0 + 2.0**-40, 1.0 + 2.0**-41, True),
+        (math.exp, 0.0, 1.0, 10.0, True),  # target above the bracket: lo runs to hi
+        (math.exp, 1.0, 2.0, 0.5, True),  # target below it: hi runs to lo
+        (math.exp, 2.0, 2.0, 1.0, True),  # an empty bracket
+    ],
+)
+def test_bisect_stops_early_with_the_reference_result(f, lo, hi, target, increasing):
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return f(x)
+
+    assert harness._bisect(counted, lo, hi, target, increasing) == reference_bisect(
+        f, lo, hi, target, increasing
+    )
+    assert calls < 80
+
+
+def test_calibrate_builds_only_the_fitted_scenario(monkeypatch):
+    sc = load_scenario(str(SCENARIOS / "calibration_base.yaml"))
+    builds = checks = 0
+    build, is_diattenuator = harness.build_scenario, JonesOperator.is_diattenuator
+
+    def counted_build(raw):
+        nonlocal builds
+        builds += 1
+        return build(raw)
+
+    def counted_check(self, *args, **kwargs):
+        nonlocal checks
+        checks += 1
+        return is_diattenuator(self, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_scenario", counted_build)
+    monkeypatch.setattr(JonesOperator, "is_diattenuator", counted_check)
+    calibrate(sc, target_raw_hz=1200.0, target_qber=0.054)
+    assert (builds, checks) == (1, len(sc.loop.components)) == (1, 9)
+
+
 def test_fitted_shipped_scenario_matches_calibration():
     shipped = load_scenario(str(SCENARIOS / "paper_calibrated.yaml"))
     exp = expected_for_scenario(shipped)

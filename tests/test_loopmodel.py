@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopqkd import jones
 from loopqkd.jones import IDENTITY, H_POL, JonesOperator, JonesState, backward, random_unitary
@@ -11,12 +12,9 @@ from loopqkd.loopmodel import (
     SPEED_OF_LIGHT,
     Component,
     ComponentKind,
-    Direction,
     LoopConfig,
-    PhasePair,
-    accumulate,
-    detection_probs,
     fringe_coefficients,
+    loop_fold,
     pdl_penalty,
     standard_loop,
     timing_schedule,
@@ -25,7 +23,7 @@ from loopqkd.loopmodel import (
 
 def amplitude_chain_oracle(config, phi_a, phi_b):
     """Brute-force (p1, p2): multiply out the amplitude chain component by
-    component, independent of accumulate()/fringe_coefficients()."""
+    component, independent of loop_fold()/fringe_coefficients()."""
     kappa = config.coupler_ratio
     t = math.sqrt(1.0 - kappa)
     r = 1j * math.sqrt(kappa)
@@ -52,16 +50,26 @@ def replace_jones(config, index, op):
     return LoopConfig(tuple(comps), config.coupler_ratio, config.source_pol)
 
 
-# ---------------------------------------------------------------- accumulate
+def probs(cfg, phi_a, phi_b=0.0):
+    """(p1, p2) of a loop at modulator phases phi_a (Alice) and phi_b (Bob)."""
+    return fringe_coefficients(cfg).probs(phi_a - phi_b)
+
+
+def own_paths(cfg):
+    """Clockwise and counterclockwise path operators at the loop's own delay."""
+    return loop_fold(cfg).paths(cfg.components[cfg.delay_index].jones.m)
+
+
+# ---------------------------------------------------------------- loop fold
 
 
 def test_accumulate_identity_lossless():
     cfg = standard_loop(200.0, 200.0, 800.0)
-    for d in (Direction.CW, Direction.CCW):
-        s = accumulate(cfg, d)
-        assert np.max(np.abs(s.jones_total.m - np.eye(2))) < 1e-15
-        assert s.amplitude_transmittance == pytest.approx(1.0, abs=1e-15)
-        assert s.optical_length == pytest.approx(1200.0)
+    for path in own_paths(cfg):
+        assert np.max(np.abs(path - np.eye(2))) < 1e-15
+    assert math.sqrt(loop_fold(cfg).power(1.0)) == pytest.approx(1.0, abs=1e-15)
+    last_exit = max(e.t_exit for e in timing_schedule(cfg).entries)
+    assert last_exit * SPEED_OF_LIGHT / DEFAULT_GROUP_INDEX == pytest.approx(1200.0)
 
 
 def test_accumulate_db_arithmetic():
@@ -71,8 +79,7 @@ def test_accumulate_db_arithmetic():
         for c in cfg.components
     ]
     cfg = LoopConfig(tuple(comps), cfg.coupler_ratio, cfg.source_pol)
-    s = accumulate(cfg, Direction.CW)
-    assert s.amplitude_transmittance**2 == pytest.approx(10 ** (-0.04 / 10.0), rel=1e-12)
+    assert loop_fold(cfg).power(1.0) == pytest.approx(10 ** (-0.04 / 10.0), rel=1e-12)
 
 
 def test_accumulate_transmittance_is_product_of_component_powers():
@@ -81,8 +88,7 @@ def test_accumulate_transmittance_is_product_of_component_powers():
     expected = 1.0
     for c in cfg.components:
         expected *= c.power_transmittance()
-    s = accumulate(cfg, Direction.CCW)
-    assert s.amplitude_transmittance**2 == pytest.approx(expected, abs=1e-12)
+    assert loop_fold(cfg).power(0.37) == pytest.approx(expected, abs=1e-12)
 
 
 def test_accumulate_ccw_is_backward_of_cw():
@@ -90,19 +96,91 @@ def test_accumulate_ccw_is_backward_of_cw():
     for _ in range(20):
         u = random_unitary(rng)
         cfg = standard_loop(delay_jones=u)
-        cw = accumulate(cfg, Direction.CW)
-        ccw = accumulate(cfg, Direction.CCW)
-        assert np.max(np.abs(ccw.jones_total.m - cw.jones_total.m.T)) < 1e-12
-        assert np.max(np.abs(ccw.jones_total.m - backward(cw.jones_total).m)) < 1e-12
+        cw, ccw = own_paths(cfg)
+        assert np.max(np.abs(ccw - cw.T)) < 1e-12
+        assert np.max(np.abs(ccw - backward(JonesOperator(cw)).m)) < 1e-12
+
+
+unitaries = st.integers(0, 2**32 - 1).map(lambda seed: random_unitary(np.random.default_rng(seed)))
+pdl_elements = st.builds(
+    lambda t_max, ratio, theta: Component(
+        ComponentKind.PDL_ELEMENT,
+        label="pdl",
+        jones=jones.diattenuator(t_max, t_max * ratio, theta),
+    ),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, math.pi),
+)
+sources = (
+    st.tuples(*[st.floats(-1.0, 1.0)] * 4)
+    .filter(lambda v: sum(x * x for x in v) > 1e-3)
+    .map(lambda v: np.array(v) / math.sqrt(sum(x * x for x in v)))
+    .map(lambda v: JonesState(complex(v[0], v[1]), complex(v[2], v[3])))
+)
+lengths = st.floats(0.0, 5000.0)
+loop_kwargs = st.fixed_dictionaries(
+    {
+        "upper_length": lengths,
+        "lower_length": lengths,
+        "delay_length": lengths,
+        "loss_db_per_km": st.floats(0.0, 5.0),
+        "coupler_ratio": st.floats(1e-6, 1.0 - 1e-6),
+        "attenuator_transmittance": st.floats(1e-9, 1.0),
+        "source_pol": sources,
+        **dict.fromkeys(
+            ("upper_jones", "lower_jones", "delay_jones", "pc_coupler", "pc_bob", "pc_alice"),
+            unitaries,
+        ),
+        "extra_components": st.lists(pdl_elements, max_size=1).map(tuple),
+    }
+)
+
+
+def coefficients(fc):
+    return (fc.power_ccw, fc.power_cw, fc.cross, fc.kappa)
+
+
+def whole_loop_coefficients(cfg):
+    """Coefficients from one left fold over all components in each direction."""
+    comps, psi = cfg.components, cfg.source_pol.vector
+    amplitude = math.sqrt(math.prod((c.power_transmittance() for c in comps), start=1.0))
+    v_cw = amplitude * (jones.compose([c.jones for c in comps]).m @ psi)
+    v_ccw = amplitude * (jones.compose([backward(c.jones) for c in reversed(comps)]).m @ psi)
+    powers = float(np.vdot(v_ccw, v_ccw).real), float(np.vdot(v_cw, v_cw).real)
+    return (*powers, complex(np.vdot(v_ccw, v_cw)), cfg.coupler_ratio)
+
+
+@settings(max_examples=200, deadline=None)
+@given(loop_kwargs, st.floats(1e-9, 1.0), st.floats(-math.pi, math.pi))
+def test_fold_equals_the_rebuilt_loop_bit_for_bit(kwargs, t, angle):
+    folded = loop_fold(standard_loop(**kwargs)).at(t, jones.rotation(angle))
+    kwargs.update(attenuator_transmittance=t, delay_jones=jones.rotator(angle))
+    rebuilt = standard_loop(**kwargs)
+    assert coefficients(folded) == coefficients(fringe_coefficients(rebuilt))
+    assert coefficients(folded) == whole_loop_coefficients(rebuilt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(loop_kwargs, st.integers(0, 2**32 - 1), st.floats(1e-9, 1.0), unitaries)
+def test_fold_equals_the_rebuilt_loop_in_any_component_order(kwargs, order, t, delay):
+    comps = list(standard_loop(**kwargs).components)
+    comps = [comps[i] for i in np.random.default_rng(order).permutation(len(comps))]
+    cfg = LoopConfig(tuple(comps), kwargs["coupler_ratio"], kwargs["source_pol"])
+    comps[cfg.attenuator_index] = dataclasses.replace(comps[cfg.attenuator_index], transmittance=t)
+    comps[cfg.delay_index] = dataclasses.replace(comps[cfg.delay_index], jones=delay)
+    rebuilt = LoopConfig(tuple(comps), cfg.coupler_ratio, cfg.source_pol)
+    folded = coefficients(loop_fold(cfg).at(t, delay.m))
+    assert folded == coefficients(fringe_coefficients(rebuilt)) == whole_loop_coefficients(rebuilt)
 
 
 def test_accumulate_rejects_invalid_config():
     cfg = standard_loop()
     comps = tuple(c for c in cfg.components if c.kind is not ComponentKind.ATTENUATOR)
     with pytest.raises(ValueError, match="attenuator"):
-        accumulate(LoopConfig(comps, 0.5, H_POL), Direction.CW)
+        loop_fold(LoopConfig(comps, 0.5, H_POL))
     with pytest.raises(ValueError, match="coupler_ratio"):
-        accumulate(LoopConfig(cfg.components, 1.5, H_POL), Direction.CW)
+        loop_fold(LoopConfig(cfg.components, 1.5, H_POL))
     with pytest.raises(ValueError, match="owner"):
         Component(ComponentKind.PHASE_MODULATOR, owner="carol")
 
@@ -112,15 +190,15 @@ def test_accumulate_rejects_invalid_config():
 
 def test_detection_ideal_ports():
     cfg = standard_loop()
-    assert detection_probs(cfg, PhasePair(0.0, 0.0)) == pytest.approx((1.0, 0.0), abs=1e-15)
-    assert detection_probs(cfg, PhasePair(math.pi, 0.0)) == pytest.approx((0.0, 1.0), abs=1e-15)
-    assert detection_probs(cfg, PhasePair(math.pi / 2, 0.0)) == pytest.approx((0.5, 0.5), abs=1e-15)
+    assert probs(cfg, 0.0) == pytest.approx((1.0, 0.0), abs=1e-15)
+    assert probs(cfg, math.pi) == pytest.approx((0.0, 1.0), abs=1e-15)
+    assert probs(cfg, math.pi / 2) == pytest.approx((0.5, 0.5), abs=1e-15)
 
 
 def test_detection_interference_law_on_grid():
     cfg = standard_loop()
     for delta in np.linspace(0.0, 2.0 * math.pi, 360):
-        p1, p2 = detection_probs(cfg, PhasePair(delta, 0.0))
+        p1, p2 = probs(cfg, delta)
         assert abs(p1 - math.cos(delta / 2.0) ** 2) < 1e-12
         assert abs(p1 + p2 - 1.0) < 1e-12
 
@@ -130,8 +208,9 @@ def test_detection_depends_only_on_phase_difference():
     cfg = standard_loop(delay_jones=random_unitary(rng), upper_jones=random_unitary(rng))
     for _ in range(50):
         a, b, shift = rng.uniform(0.0, 2.0 * math.pi, size=3)
-        p = detection_probs(cfg, PhasePair(a, b))
-        q = detection_probs(cfg, PhasePair(a + shift, b + shift))
+        # the model sees only a - b; the full chain sees both absolute phases
+        p = probs(cfg, a, b)
+        q = amplitude_chain_oracle(cfg, a + shift, b + shift)
         assert p == pytest.approx(q, abs=1e-12)
 
 
@@ -150,14 +229,14 @@ def test_detection_matches_amplitude_chain_oracle():
             delay_jones=random_unitary(rng),
         )
         phi_a, phi_b = rng.uniform(0.0, 2.0 * math.pi, size=2)
-        got = detection_probs(cfg, PhasePair(phi_a, phi_b))
+        got = probs(cfg, phi_a, phi_b)
         want = amplitude_chain_oracle(cfg, phi_a, phi_b)
         assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_detection_rejects_unnormalized_source():
     with pytest.raises(ValueError, match="normalized"):
-        detection_probs(standard_loop(source_pol=JonesState(1.0, 1.0)), PhasePair(0.0, 0.0))
+        fringe_coefficients(standard_loop(source_pol=JonesState(1.0, 1.0)))
 
 
 def test_phase_drift_immunity():
@@ -167,15 +246,14 @@ def test_phase_drift_immunity():
         delay_jones=random_unitary(rng),
         attenuator_transmittance=0.6,
     )
-    phases = PhasePair(0.7, 0.3)
-    base = detection_probs(cfg, phases)
+    base = probs(cfg, 0.7, 0.3)
     for _ in range(200):
         idx = int(rng.integers(0, len(cfg.components)))
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         drifted = replace_jones(
             cfg, idx, JonesOperator(np.exp(1j * theta) * cfg.components[idx].jones.m)
         )
-        got = detection_probs(drifted, phases)
+        got = probs(drifted, 0.7, 0.3)
         assert abs(got[0] - base[0]) < 1e-12
         assert abs(got[1] - base[1]) < 1e-12
 
@@ -188,7 +266,7 @@ def test_lossless_unitarity_any_coupler_ratio():
             upper_jones=random_unitary(rng),
             lower_jones=random_unitary(rng),
         )
-        p1, p2 = detection_probs(cfg, PhasePair(*rng.uniform(0, 2 * math.pi, size=2)))
+        p1, p2 = probs(cfg, *rng.uniform(0, 2 * math.pi, size=2))
         assert p1 + p2 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -199,7 +277,7 @@ def test_symmetric_birefringence_keeps_ideal_law():
         sym = JonesOperator(u.m.T @ u.m)  # symmetric unitary
         cfg = standard_loop(delay_jones=sym)
         for delta in np.linspace(0.0, 2.0 * math.pi, 24):
-            p1, _ = detection_probs(cfg, PhasePair(delta, 0.0))
+            p1, _ = probs(cfg, delta)
             assert abs(p1 - math.cos(delta / 2.0) ** 2) < 1e-10
 
 
@@ -207,8 +285,8 @@ def test_loss_scales_total_probability_linearly():
     cfg_full = standard_loop(attenuator_transmittance=0.8)
     cfg_half = standard_loop(attenuator_transmittance=0.4)
     for delta in (0.0, 0.9, 2.5):
-        p1f, p2f = detection_probs(cfg_full, PhasePair(delta, 0.0))
-        p1h, p2h = detection_probs(cfg_half, PhasePair(delta, 0.0))
+        p1f, p2f = probs(cfg_full, delta)
+        p1h, p2h = probs(cfg_half, delta)
         assert p1h + p2h == pytest.approx(0.5 * (p1f + p2f), abs=1e-12)
 
 
@@ -218,7 +296,7 @@ def test_fringe_coefficients_array_evaluation():
     deltas = np.linspace(0.0, 2.0 * math.pi, 100)
     p1, p2 = fc.probs(deltas)
     for d, a, b in zip(deltas, p1, p2):
-        pa, pb = detection_probs(cfg, PhasePair(d, 0.0))
+        pa, pb = probs(cfg, d)
         assert a == pytest.approx(pa, abs=1e-14)
         assert b == pytest.approx(pb, abs=1e-14)
 
@@ -312,13 +390,6 @@ def test_pdl_penalty_zero_power_rejected():
 
 
 # ---------------------------------------------------------------- types
-
-
-def test_phase_pair_reduction_and_delta():
-    p = PhasePair(-math.pi / 2.0, 3.0 * math.pi)
-    assert 0.0 <= p.phi_a < 2.0 * math.pi
-    assert p.phi_b == pytest.approx(math.pi)
-    assert p.delta == pytest.approx((p.phi_a - p.phi_b) % (2 * math.pi))
 
 
 def test_component_validation_messages():

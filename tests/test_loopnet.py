@@ -5,7 +5,7 @@ import pytest
 
 from loopqkd.bb84 import SessionStats
 from loopqkd.jones import random_unitary
-from loopqkd.loopmodel import PhasePair, detection_probs, fringe_coefficients, standard_loop
+from loopqkd.loopmodel import fringe_coefficients, standard_loop
 from loopqkd.loopnet import (
     DisturbanceKind,
     DisturbanceVerdict,
@@ -50,9 +50,9 @@ def test_single_entity_ring_equals_two_party_loop():
 def test_each_partner_sees_ideal_interference():
     ring = four_party_ring()
     for name in ring.entity_ids():
-        flat = select_partner(ring, name)
+        fc = fringe_coefficients(select_partner(ring, name))
         for delta in np.linspace(0.0, 2.0 * math.pi, 24):
-            p1, p2 = detection_probs(flat, PhasePair(delta, 0.0))
+            p1, p2 = fc.probs(delta)
             assert abs(p1 - math.cos(delta / 2.0) ** 2) < 1e-12
             assert abs(p1 + p2 - 1.0) < 1e-12
 
@@ -108,9 +108,9 @@ def test_entity_order_permutation_preserves_fringe():
 def test_insertion_loss_scales_total_probability():
     ring = four_party_ring(david={"insertion_transmittance": 0.8})
     flat = select_partner(ring, "alice")
-    p1, p2 = detection_probs(flat, PhasePair(0.3, 0.0))
+    p1, p2 = fringe_coefficients(flat).probs(0.3)
     base = four_party_ring()
-    q1, q2 = detection_probs(select_partner(base, "alice"), PhasePair(0.3, 0.0))
+    q1, q2 = fringe_coefficients(select_partner(base, "alice")).probs(0.3)
     assert p1 + p2 == pytest.approx(0.8 * (q1 + q2), abs=1e-12)
 
 

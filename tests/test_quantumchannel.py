@@ -195,7 +195,7 @@ def test_rng_keys_below_int64_unchanged():
 
 def test_expected_session_ideal():
     exp = expected_session(
-        standard_loop(),
+        fringe_coefficients(standard_loop()),
         PHASE_CODING,
         SourceParams(mu=0.1, rep_rate=100e3),
         DetectorParams(efficiency=1.0, dark_prob=0.0),
@@ -208,7 +208,7 @@ def test_expected_session_ideal():
 
 def test_expected_session_darks_only():
     exp = expected_session(
-        standard_loop(),
+        fringe_coefficients(standard_loop()),
         PHASE_CODING,
         SourceParams(mu=0.0),
         DetectorParams(efficiency=1.0, dark_prob=1e-4),
@@ -223,7 +223,7 @@ def test_expected_session_random_assign_counts_double_clicks():
         efficiency=1.0, dark_prob=1e-3, double_click_policy=DoubleClickPolicy.RANDOM_ASSIGN
     )
     cfg = standard_loop()
-    e_discard = expected_session(cfg, PHASE_CODING, src, det_discard)
-    e_assign = expected_session(cfg, PHASE_CODING, src, det_assign)
+    e_discard = expected_session(fringe_coefficients(cfg), PHASE_CODING, src, det_discard)
+    e_assign = expected_session(fringe_coefficients(cfg), PHASE_CODING, src, det_assign)
     assert e_assign.sifted_prob > e_discard.sifted_prob
     assert e_assign.qber > e_discard.qber  # random halves of double clicks are errors

@@ -8,7 +8,7 @@ import pytest
 from loopqkd.bb84 import PHASE_CODING, EveConfig, EveStrategy, PulseRecord, sift
 from loopqkd.harness import transcript_csv
 from loopqkd.jones import rotator
-from loopqkd.loopmodel import standard_loop
+from loopqkd.loopmodel import fringe_coefficients, standard_loop
 from loopqkd.quantumchannel import (
     ClickOutcome,
     DetectorParams,
@@ -51,7 +51,7 @@ def test_multi_batch_session_matches_closed_form():
     cfg = standard_loop(delay_jones=rotator(0.3), attenuator_transmittance=0.6)
     src = SourceParams(mu=0.4)
     det = DetectorParams(efficiency=0.7, dark_prob=1e-3)
-    exp = expected_session(cfg, PHASE_CODING, src, det)
+    exp = expected_session(fringe_coefficients(cfg), PHASE_CODING, src, det)
     pulses = 300_000
     stats, _ = run_session(
         cfg, SessionParams(pulses=pulses, seed=5, source=src, detectors=det, batch_size=1 << 12)
@@ -120,7 +120,7 @@ def test_monte_carlo_matches_closed_form(mu, eta, dark, angle, att, policy):
     cfg = standard_loop(delay_jones=rotator(angle), attenuator_transmittance=att)
     src = SourceParams(mu=mu)
     det = DetectorParams(efficiency=eta, dark_prob=dark, double_click_policy=policy)
-    exp = expected_session(cfg, PHASE_CODING, src, det)
+    exp = expected_session(fringe_coefficients(cfg), PHASE_CODING, src, det)
     pulses = 400_000
     stats, _ = run_session(cfg, SessionParams(pulses=pulses, seed=24, source=src, detectors=det))
     sift_tol, qber_tol = mc_tolerances(exp, pulses)
@@ -194,7 +194,7 @@ def test_reduced_visibility_sets_error_floor():
     cfg = standard_loop(delay_jones=rotator(angle))
     src = SourceParams(mu=0.03)
     det = DetectorParams()
-    exp = expected_session(cfg, PHASE_CODING, src, det)
+    exp = expected_session(fringe_coefficients(cfg), PHASE_CODING, src, det)
     assert exp.qber == pytest.approx((1.0 - v) / 2.0, abs=2e-3)
     pulses = 800_000
     stats, _ = run_session(cfg, SessionParams(pulses=pulses, seed=47, source=src, detectors=det))
@@ -214,7 +214,7 @@ def test_qber_composition_formula():
     p_signal = 0.5 * (1.0 - math.exp(-mu * eta * t_loop))
     p_dark_sift = 0.5 * 2.0 * dark * math.exp(-mu * eta * t_loop)
     composed = (0.5 * (1.0 - v) * p_signal + 0.5 * p_dark_sift) / (p_signal + p_dark_sift)
-    exp = expected_session(cfg, PHASE_CODING, src, det)
+    exp = expected_session(fringe_coefficients(cfg), PHASE_CODING, src, det)
     assert composed == pytest.approx(exp.qber, abs=1e-3)
     pulses = 2_000_000
     stats, _ = run_session(cfg, SessionParams(pulses=pulses, seed=53, source=src, detectors=det))
