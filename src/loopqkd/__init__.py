@@ -2,7 +2,7 @@
 
 Layers, bottom to top:
 
-* ``jones``          -- polarization algebra (states, operators, controllers).
+* ``jones``          -- polarization algebra (states and operators).
 * ``loopmodel``      -- deterministic optics of the fiber loop and its coupler.
 * ``quantumchannel`` -- weak-pulse photon statistics and detector clicks.
 * ``bb84``           -- phase-coded BB84 protocol, sifting, eavesdropper model.

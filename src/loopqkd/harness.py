@@ -288,14 +288,27 @@ class Scenario:
             disclosed_fraction=self.disclosed_fraction,
         )
 
+    def resolve_partner(self, partner: str | None = None) -> str | None:
+        """The ring entity a session keys with: ``partner``, else ``ring.partner``.
+
+        A two-party loop has no partner, and giving it one is an error.
+        """
+        if self.ring is None:
+            if partner is not None:
+                raise ScenarioError(
+                    f"partner {partner!r} given, but a loop scenario has no partner "
+                    "(--partner applies to ring scenarios)"
+                )
+            return None
+        chosen = self.partner if partner is None else partner
+        if chosen is None:
+            raise ScenarioError("ring scenario needs a partner (set ring.partner or --partner)")
+        return chosen
+
     def effective_loop(self, partner: str | None = None) -> LoopConfig:
         """The two-party loop this scenario runs over (flattening a ring if needed)."""
-        if self.loop is not None:
-            return self.loop
-        partner = partner or self.partner
-        if partner is None:
-            raise ScenarioError("ring scenario needs a partner (set ring.partner or --partner)")
-        return select_partner(self.ring, partner)
+        chosen = self.resolve_partner(partner)
+        return self.loop if chosen is None else select_partner(self.ring, chosen)
 
 
 def _construct(eff: dict) -> tuple[SessionParams, LoopConfig | None, RingConfig | None]:
@@ -423,10 +436,8 @@ def run(
     """Execute the scenario end to end (two-party loop, or ring with a partner)."""
     t0 = time.perf_counter()
     params = scenario.session_params(seed=seed, pulses=pulses)
-    if scenario.ring is not None:
-        chosen = partner or scenario.partner
-        if chosen is None:
-            raise ScenarioError("ring scenario needs a partner (set ring.partner or --partner)")
+    chosen = scenario.resolve_partner(partner)
+    if chosen is not None:
         stats, transcript = run_network_session(
             scenario.ring, chosen, params, collect_records=collect_records
         )
@@ -612,9 +623,13 @@ def calibrate(scenario: Scenario, target_raw_hz: float, target_qber: float) -> C
         fc = fold.at(transmittance, jones.rotation(angle))
         return expected_session(fc, PHASE_CODING, scenario.source, scenario.detectors)
 
-    t_sol = scenario.effective["loop"]["attenuator_transmittance"]
     angle_sol = 0.0
     t_floor = 1e-9
+
+    def solve_transmittance() -> float:
+        return _bisect(
+            lambda t: expect(t, angle_sol).raw_rate, t_floor, 1.0, target_raw_hz, increasing=True
+        )
 
     r_max, r_min = expect(1.0, angle_sol).raw_rate, expect(t_floor, angle_sol).raw_rate
     if not (r_min <= target_raw_hz <= r_max):
@@ -622,18 +637,18 @@ def calibrate(scenario: Scenario, target_raw_hz: float, target_qber: float) -> C
             f"target raw rate {target_raw_hz:g} Hz is not achievable; "
             f"this scenario reaches [{r_min:.6g}, {r_max:.6g}] Hz"
         )
+    # dark counts raise the QBER floor as the attenuator closes, so the range
+    # is checked at the transmittance that the rate target forces
+    t_sol = solve_transmittance()
     q_floor = expect(t_sol, 0.0).qber
     q_ceil = expect(t_sol, math.pi / 4.0).qber  # visibility 0
     if not (q_floor - 1e-12 <= target_qber <= q_ceil + 1e-12):
         raise ScenarioError(
-            f"target QBER {target_qber:g} is not achievable; "
-            f"this scenario reaches [{q_floor:.6g}, {q_ceil:.6g}]"
+            f"target QBER {target_qber:g} is not achievable at the raw rate "
+            f"{target_raw_hz:g} Hz; this scenario reaches [{q_floor:.6g}, {q_ceil:.6g}]"
         )
 
     for _ in range(12):
-        t_sol = _bisect(
-            lambda t: expect(t, angle_sol).raw_rate, t_floor, 1.0, target_raw_hz, increasing=True
-        )
         angle_sol = _bisect(
             lambda a: expect(t_sol, a).qber, 0.0, math.pi / 4.0, target_qber, increasing=True
         )
@@ -642,6 +657,7 @@ def calibrate(scenario: Scenario, target_raw_hz: float, target_qber: float) -> C
         qber_ok = abs(got.qber - target_qber) <= _CAL_REL_TOL * max(target_qber, 1e-12)
         if rate_ok and qber_ok:
             break
+        t_sol = solve_transmittance()
     else:
         raise ScenarioError(
             f"calibrate did not converge: it reaches raw rate {got.raw_rate:.6g} Hz "

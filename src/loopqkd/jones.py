@@ -11,14 +11,11 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-TWO_PI = 2.0 * math.pi
 
 # Double-precision tolerance of exact algebraic identities.
 ALGEBRA_TOL = 1e-12
@@ -59,13 +56,6 @@ class JonesOperator:
     def identity(cls) -> "JonesOperator":
         return cls(np.eye(2, dtype=complex))
 
-    def apply(self, state: JonesState) -> JonesState:
-        v = self.m @ state.vector
-        return JonesState(complex(v[0]), complex(v[1]))
-
-    def is_unitary(self, tol: float = ALGEBRA_TOL) -> bool:
-        return bool(np.max(np.abs(self.m.conj().T @ self.m - np.eye(2))) <= tol)
-
     def singular_values(self) -> np.ndarray:
         return np.linalg.svd(self.m, compute_uv=False)
 
@@ -101,16 +91,6 @@ def retarder(delta: float, theta: float = 0.0) -> JonesOperator:
     d = np.array([[1.0, 0.0], [0.0, np.exp(1j * delta)]], dtype=complex)
     r = rotation(theta)
     return JonesOperator(r @ d @ r.T)
-
-
-def qwp(theta: float) -> JonesOperator:
-    """Quarter-wave plate with fast axis at angle theta."""
-    return retarder(math.pi / 2.0, theta)
-
-
-def hwp(theta: float) -> JonesOperator:
-    """Half-wave plate with fast axis at angle theta."""
-    return retarder(math.pi, theta)
 
 
 def diattenuator(t_max: float, t_min: float, theta: float = 0.0) -> JonesOperator:
@@ -151,147 +131,3 @@ def backward(op: JonesOperator) -> JonesOperator:
     holds for retarders, rotators and diattenuators alike.
     """
     return JonesOperator(op.m.T)
-
-
-def visibility(state: JonesState, u_cw: JonesOperator, u_ccw: JonesOperator) -> float:
-    """Interference contrast between the two counter-propagating paths.
-
-    Returns |<u_ccw s, u_cw s>|, the magnitude of the cross term when the
-    clockwise and counterclockwise amplitudes recombine.  For unitary paths
-    this is the fringe visibility in [0, 1]; it equals 1 exactly when
-    u_ccw^dag u_cw maps the input onto itself up to a phase.
-    """
-    if not state.is_normalized():
-        raise ValueError("visibility requires a normalized input state")
-    a = u_ccw.m @ state.vector
-    b = u_cw.m @ state.vector
-    return float(abs(np.vdot(a, b)))
-
-
-@dataclass(frozen=True)
-class PcSetting:
-    """Three-paddle polarization controller angles (quarter, half, quarter waveplates).
-
-    Angles are reduced to [0, 2*pi) on construction.
-    """
-
-    theta1: float
-    theta2: float
-    theta3: float
-
-    def __post_init__(self) -> None:
-        for name in ("theta1", "theta2", "theta3"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, v % TWO_PI)
-
-    @property
-    def angles(self) -> tuple[float, float, float]:
-        return (self.theta1, self.theta2, self.theta3)
-
-
-def pc_matrix(setting: PcSetting) -> JonesOperator:
-    """Jones matrix of the controller: QWP(theta3) -> HWP(theta2) -> QWP(theta1).
-
-    The quarter-half-quarter stack reaches every SU(2) element up to a global
-    phase, so an ideal controller can map any input polarization to any
-    output polarization.
-    """
-    return compose([qwp(setting.theta3), hwp(setting.theta2), qwp(setting.theta1)])
-
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, iters: int = 72) -> tuple[float, float]:
-    """Golden-section search for the maximum of f on [lo, hi]."""
-    x1 = hi - _INV_GOLDEN * (hi - lo)
-    x2 = lo + _INV_GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
-
-
-def _line_max(f: Callable[[float], float], lo: float, hi: float, coarse: int = 17) -> tuple[float, float]:
-    """Maximize f on [lo, hi]: coarse scan to bracket, then golden-section refine."""
-    xs = np.linspace(lo, hi, coarse)
-    vals = [f(float(x)) for x in xs]
-    k = int(np.argmax(vals))
-    a = xs[max(k - 1, 0)]
-    b = xs[min(k + 1, coarse - 1)]
-    x, v = _golden_max(f, float(a), float(b))
-    if vals[k] > v:
-        return float(xs[k]), vals[k]
-    return x, v
-
-
-# Coordinate-descent restarts: corners of a 2x2x2 lattice in the angle box.
-_LATTICE_SEEDS = tuple(itertools.product((math.pi / 2.0, 3.0 * math.pi / 2.0), repeat=3))
-
-_MAX_SWEEPS = 50
-
-
-def optimize_pc(
-    objective: Callable[[PcSetting], float],
-    initial: PcSetting,
-    tol: float,
-) -> PcSetting:
-    """Maximize a controller objective by coordinate descent over the three paddle angles.
-
-    Each coordinate pass runs a scan-bracketed golden-section line search over a
-    full period around the current angle; the descent restarts from `initial`
-    and from 8 lattice seeds and keeps the best result.  Deterministic: there
-    is no randomness in the search.
-
-    Args:
-        objective: setting -> real, assumed 2*pi-periodic per angle and bounded.
-        initial: starting setting (kept as one of the restart seeds).
-        tol: stop a descent once a full sweep improves the objective by < tol.
-
-    Raises:
-        ValueError: if the objective returns a non-finite value anywhere.
-    """
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
-
-    def evaluate(angles: list[float]) -> float:
-        v = float(objective(PcSetting(*angles)))
-        if not math.isfinite(v):
-            raise ValueError(f"objective returned non-finite value {v!r} at {angles}")
-        return v
-
-    best_angles: list[float] | None = None
-    best_val = -math.inf
-    for seed in (initial.angles,) + _LATTICE_SEEDS:
-        angles = list(seed)
-        val = evaluate(angles)
-        for _ in range(_MAX_SWEEPS):
-            prev = val
-            for i in range(3):
-                center = angles[i]
-
-                def f(x: float, i: int = i) -> float:
-                    trial = list(angles)
-                    trial[i] = x
-                    return evaluate(trial)
-
-                x, v = _line_max(f, center - math.pi, center + math.pi)
-                if v > val:
-                    angles[i] = x
-                    val = v
-            if val - prev < tol:
-                break
-        if val > best_val:
-            best_val = val
-            best_angles = angles
-    assert best_angles is not None
-    return PcSetting(*best_angles)

@@ -110,15 +110,14 @@ class LoopConfig:
 
     Exactly one phase modulator per party, one attenuator, and one delay
     fiber are required, and ``source_pol`` must be normalized.
-    ``alice_pm_index``, ``bob_pm_index``, ``attenuator_index`` and
-    ``delay_index`` are derived from the component list.
+    ``alice_pm_index``, ``attenuator_index`` and ``delay_index`` are
+    derived from the component list.
     """
 
     components: tuple[Component, ...]
     coupler_ratio: float = 0.5
     source_pol: JonesState = H_POL
     alice_pm_index: int = field(init=False)
-    bob_pm_index: int = field(init=False)
     attenuator_index: int = field(init=False)
     delay_index: int = field(init=False)
 
@@ -145,7 +144,6 @@ class LoopConfig:
         if not self.source_pol.is_normalized(tol=1e-9):
             raise ValueError("source_pol must be normalized")
         object.__setattr__(self, "alice_pm_index", modulators["alice"][0])
-        object.__setattr__(self, "bob_pm_index", modulators["bob"][0])
         object.__setattr__(self, "attenuator_index", kinds.index(ComponentKind.ATTENUATOR))
         object.__setattr__(self, "delay_index", kinds.index(ComponentKind.DELAY_FIBER))
 
@@ -178,6 +176,12 @@ class FringeCoefficients:
 
     @property
     def visibility(self) -> float:
+        """|<v_ccw, v_cw>| / sqrt(|v_cw|^2 |v_ccw|^2), the fringe visibility.
+
+        Equals 1 when the two returning polarizations coincide, and sinks
+        below 1 when diattenuating elements or uncompensated birefringence
+        pull them apart.
+        """
         denom = math.sqrt(self.power_ccw * self.power_cw)
         if denom == 0.0:
             raise ValueError("single-path power is zero; visibility undefined")
@@ -252,16 +256,6 @@ def fringe_coefficients(config: LoopConfig) -> FringeCoefficients:
         config.components[config.attenuator_index].transmittance,
         config.components[config.delay_index].jones.m,
     )
-
-
-def pdl_penalty(config: LoopConfig) -> float:
-    """Interference visibility at the coupler, normalized per path.
-
-    |<v_ccw, v_cw>| / sqrt(|v_cw|^2 |v_ccw|^2): equals 1 when the two
-    returning polarizations coincide, and sinks below 1 when diattenuating
-    elements or uncompensated birefringence pull them apart.
-    """
-    return fringe_coefficients(config).visibility
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from loopqkd import harness
 from loopqkd.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -58,8 +59,18 @@ def test_validation_failures_exit_1(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.yaml")]) == 1
     assert main(["sweep", IDEAL, "--axis", "nope", "--grid", "0:1:3"]) == 1
     assert main(["net-run", NETWORK, "--partner", "mallory"]) == 1
+    assert main(["net-run", NETWORK, "--partner", ""]) == 1  # not the file's partner
     assert main(["sweep", IDEAL, "--axis", "source.mu", "--grid", "0:1"]) == 1
     assert main(["calibrate", IDEAL, "--target-raw", "-5", "--target-qber", "0.05"]) == 1
+
+
+@pytest.mark.parametrize("command", ["net-run", "fringe"])
+def test_partner_on_loop_scenario_exits_1(command, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    loop = str(SCENARIOS / "paper_calibrated.yaml")
+    assert main([command, loop, "--partner", "bogus", "--out", str(out)]) == 1
+    assert "partner 'bogus' given, but a loop scenario has no partner" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_out_of_range_seed_exits_1(tmp_path, capsys):
@@ -144,9 +155,9 @@ def test_calibrate_command(tmp_path):
     assert rerun == 0
 
 
-def test_calibrate_that_does_not_converge_exits_1(tmp_path, capsys):
-    # the QBER floor is checked at the base attenuator, but the fitted one is
-    # so low that the dark counts alone put the QBER above the target
+def test_calibrate_checks_qber_at_the_forced_transmittance(tmp_path, capsys):
+    # the QBER floor is 0.002 at the base attenuator, but the rate target
+    # forces it so low that the dark counts alone put the QBER above 0.02
     raw = yaml.safe_load((SCENARIOS / "calibration_base.yaml").read_text(encoding="utf-8"))
     raw["detectors"]["dark_prob"] = 1e-4
     base, out = tmp_path / "dark.yaml", tmp_path / "fitted.yaml"
@@ -154,8 +165,21 @@ def test_calibrate_that_does_not_converge_exits_1(tmp_path, capsys):
     argv = ["calibrate", str(base), "--target-raw", "50", "--target-qber", "0.02"]
     assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "did not converge" in err
-    assert "raw rate 50 Hz and QBER 0.09991" in err
+    assert (
+        "target QBER 0.02 is not achievable at the raw rate 50 Hz; "
+        "this scenario reaches [0.09991" in err
+    )
+    assert not out.exists()
+
+
+def test_calibrate_that_does_not_converge_exits_1(tmp_path, capsys, monkeypatch):
+    # no residual meets a zero tolerance, so all 12 rounds run
+    monkeypatch.setattr(harness, "_CAL_REL_TOL", 0.0)
+    out = tmp_path / "fitted.yaml"
+    argv = ["calibrate", str(SCENARIOS / "calibration_base.yaml"), "--target-raw", "1200"]
+    assert main(argv + ["--target-qber", "0.054", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "calibrate did not converge: it reaches raw rate 1200 Hz and QBER 0.054" in err
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import io
 import math
@@ -27,8 +28,12 @@ from loopqkd.harness import (
     sweep_csv,
     transcript_csv,
 )
+from loopqkd.bb84 import EveConfig
 from loopqkd.jones import JonesOperator
-from loopqkd.loopmodel import fringe_coefficients
+from loopqkd.loopmodel import Component, LoopConfig, fringe_coefficients, standard_loop
+from loopqkd.loopnet import Entity, RingConfig
+from loopqkd.quantumchannel import DetectorParams, SourceParams
+from loopqkd.session import SessionParams
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -58,6 +63,40 @@ def test_minimal_file_gets_ideal_defaults(tmp_path):
     assert sc.effective["loop"]["loss_db_per_km"] == 0.0
     assert sc.effective["loop"]["attenuator_transmittance"] == 1.0
     assert fringe_coefficients(sc.loop).visibility == pytest.approx(1.0, abs=1e-12)
+
+
+def _assert_fields_equal(got, want, cls, skip=()):
+    for f in dataclasses.fields(cls):
+        if f.name in skip:
+            continue
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(a, JonesOperator):
+            assert np.array_equal(a.m, b.m), f.name
+        else:
+            assert a == b, f.name
+
+
+def _default(cls, name):
+    return next(f.default for f in dataclasses.fields(cls) if f.name == name)
+
+
+def test_schema_defaults_equal_constructor_defaults():
+    # the schema table repeats the constructors' defaults; they must agree
+    sc = build_scenario({})
+    assert sc.source == SourceParams()
+    assert sc.detectors == DetectorParams()
+    assert sc.eve == EveConfig()
+    assert sc.disclosed_fraction == _default(SessionParams, "disclosed_fraction")
+    want = standard_loop()
+    _assert_fields_equal(sc.loop, want, LoopConfig, skip=("components",))
+    assert len(sc.loop.components) == len(want.components)
+    for got, ref in zip(sc.loop.components, want.components):
+        _assert_fields_equal(got, ref, Component)
+
+    ring = build_scenario({"ring": {"entities": [{"id": "a"}]}}).ring
+    _assert_fields_equal(ring.entities[0], Entity("a"), Entity)
+    for name in ("delay_length", "loss_db_per_km", "coupler_ratio", "source_pol"):
+        assert getattr(ring, name) == _default(RingConfig, name), name
 
 
 def test_shipped_paper_scenario_matches_bench_geometry():

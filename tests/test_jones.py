@@ -10,17 +10,12 @@ from loopqkd.jones import (
     IDENTITY,
     JonesOperator,
     JonesState,
-    PcSetting,
     backward,
     compose,
-    hwp,
-    optimize_pc,
-    pc_matrix,
-    qwp,
     random_unitary,
     rotator,
-    visibility,
 )
+from loopqkd.loopmodel import fringe_coefficients, standard_loop
 
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True)
 
@@ -117,20 +112,25 @@ def test_backward_anti_homomorphism(p1, a1, d1, p2, a2, d2):
 
 
 # ---------------------------------------------------------------- visibility
+#
+# A loop whose only non-identity element is the upper link ``u`` has paths
+# u (clockwise) and u^T (counterclockwise), so its fringe visibility is the
+# reciprocity cross term |psi^dag conj(u) u psi|.
+
+
+def loop_visibility(u=IDENTITY, psi=H_POL, **elements):
+    return fringe_coefficients(standard_loop(upper_jones=u, source_pol=psi, **elements)).visibility
 
 
 def test_visibility_identical_paths():
-    assert visibility(H_POL, IDENTITY, IDENTITY) == pytest.approx(1.0, abs=1e-15)
+    assert loop_visibility() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_visibility_orthogonal_component_unpopulated():
-    u_ccw = JonesOperator(np.diag([1.0, -1.0]))
-    assert visibility(H_POL, IDENTITY, u_ccw) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_visibility_rejects_unnormalized_input():
-    with pytest.raises(ValueError):
-        visibility(JonesState(1.0, 1.0), IDENTITY, IDENTITY)
+    # a rotator is antisymmetric, so the paths differ (u^T = u^-1), but
+    # conj(u) u = R(2a) only shifts the phase of a circular input
+    circular = JonesState(1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))
+    assert loop_visibility(rotator(0.4), circular) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_visibility_matches_brute_force_cross_term():
@@ -140,7 +140,7 @@ def test_visibility_matches_brute_force_cross_term():
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         v /= np.linalg.norm(v)
         psi = JonesState(complex(v[0]), complex(v[1]))
-        got = visibility(psi, u, backward(u))
+        got = loop_visibility(u, psi)
         want = cross_term_oracle(v, u.m)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -150,134 +150,20 @@ def test_visibility_matches_brute_force_cross_term():
 def test_visibility_one_for_symmetric_unitary(phi, a, delta):
     u = unitary_from_angles(phi, a, delta, -a)  # R(a) D R(-a) is symmetric
     assert np.max(np.abs(u.m - u.m.T)) < 1e-12
-    assert abs(visibility(H_POL, u, backward(u)) - 1.0) < 1e-10
+    assert abs(loop_visibility(u) - 1.0) < 1e-10
 
 
 @settings(max_examples=100, deadline=None)
 @given(angles, angles, angles, angles)
 def test_visibility_invariant_under_global_phase(a, delta, b, theta):
     u = unitary_from_angles(0.0, a, delta, b)
-    u_ph = JonesOperator(np.exp(1j * theta) * u.m)
-    v0 = visibility(H_POL, u, backward(u))
-    assert visibility(H_POL, u_ph, backward(u)) == pytest.approx(v0, abs=1e-12)
-    assert visibility(H_POL, u, backward(u_ph)) == pytest.approx(v0, abs=1e-12)
-
-
-# ---------------------------------------------------------------- pc_matrix
-
-
-def test_pc_matrix_zero_setting_matches_direct_product():
-    direct = qwp(0.0).m @ hwp(0.0).m @ qwp(0.0).m
-    got = pc_matrix(PcSetting(0.0, 0.0, 0.0)).m
-    assert np.max(np.abs(got - direct)) < 1e-15
-    assert pc_matrix(PcSetting(0.0, 0.0, 0.0)).is_unitary(1e-12)
-
-
-@settings(max_examples=200, deadline=None)
-@given(angles, angles, angles)
-def test_pc_matrix_always_unitary(t1, t2, t3):
-    assert pc_matrix(PcSetting(t1, t2, t3)).is_unitary(1e-12)
-
-
-def test_half_wave_sweep_covers_all_linear_azimuths():
-    # HWP(theta) maps horizontal input to a linear state at azimuth 2*theta,
-    # so a half-turn sweep visits every azimuth.
-    thetas = np.linspace(0.0, math.pi, 90, endpoint=False)
-    azimuths = []
-    for th in thetas:
-        out = hwp(th).apply(H_POL)
-        # linear state: no circular component
-        assert abs((np.conj(out.e_x) * out.e_y).imag) < 1e-12
-        azimuths.append(math.atan2(out.e_y.real, out.e_x.real) % math.pi)
-        expected = (2.0 * th) % math.pi
-        assert min(abs(azimuths[-1] - expected), abs(azimuths[-1] - expected - math.pi),
-                   abs(azimuths[-1] - expected + math.pi)) < 1e-9
-    gaps = np.diff(sorted(azimuths))
-    assert np.max(gaps) < 2.2 * math.pi / 90
-
-
-def test_pc_matrix_product_is_periodic_stack():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        t1, t2, t3 = rng.uniform(0, 2 * math.pi, size=3)
-        direct = qwp(t1).m @ hwp(t2).m @ qwp(t3).m
-        assert np.max(np.abs(pc_matrix(PcSetting(t1, t2, t3)).m - direct)) < 1e-13
-
-
-# ---------------------------------------------------------------- optimize_pc
-
-
-def test_optimize_pc_flat_optimum():
-    objective = lambda s: visibility(H_POL, IDENTITY, IDENTITY)
-    best = optimize_pc(objective, PcSetting(1.0, 1.0, 1.0), tol=1e-9)
-    assert objective(best) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_optimize_pc_quadratic_analytic_optimum():
-    def objective(s: PcSetting) -> float:
-        return -((s.theta1 - 1.0) ** 2 + (s.theta2 - 2.0) ** 2 + (s.theta3 - 3.0) ** 2)
-
-    best = optimize_pc(objective, PcSetting(0.5, 0.5, 0.5), tol=1e-12)
-    assert best.theta1 == pytest.approx(1.0, abs=1e-4)
-    assert best.theta2 == pytest.approx(2.0, abs=1e-4)
-    assert best.theta3 == pytest.approx(3.0, abs=1e-4)
-
-
-def test_optimize_pc_rejects_non_finite_objective():
-    with pytest.raises(ValueError):
-        optimize_pc(lambda s: math.nan, PcSetting(0, 0, 0), tol=1e-6)
-
-
-def _qhq_stack(t1, t2, t3):
-    """Vectorized QWP(t1) @ HWP(t2) @ QWP(t3) over broadcasting angle grids."""
-
-    def wp_stack(delta, th):
-        c, s = np.cos(th), np.sin(th)
-        e = np.exp(1j * delta)
-        m = np.empty(np.broadcast(c, s).shape + (2, 2), dtype=complex)
-        m[..., 0, 0] = c * c + e * s * s
-        m[..., 0, 1] = (1.0 - e) * c * s
-        m[..., 1, 0] = (1.0 - e) * c * s
-        m[..., 1, 1] = s * s + e * c * c
-        return m
-
-    q1 = wp_stack(math.pi / 2, t1)
-    h2 = wp_stack(math.pi, t2)
-    q3 = wp_stack(math.pi / 2, t3)
-    return np.einsum("...ij,...jk,...kl->...il", q1, h2, q3)
-
-
-def test_optimize_pc_matches_dense_grid_on_birefringent_loop():
-    rng = np.random.default_rng(11)
-    u_fixed = random_unitary(rng)
-
-    def objective(s: PcSetting) -> float:
-        total = compose([pc_matrix(s), u_fixed])
-        return visibility(H_POL, total, backward(total))
-
-    best = optimize_pc(objective, PcSetting(0.0, 0.0, 0.0), tol=1e-10)
-    best_val = objective(best)
-
-    n = 64
-    g = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
-    p = _qhq_stack(g[:, None, None], g[None, :, None], g[None, None, :])
-    w = np.einsum("ij,...jk->...ik", u_fixed.m, p)
-    cross = np.einsum("...ji,...jk->...ik", np.conj(w), w)[..., 0, 0]
-    grid_best = float(np.max(np.abs(cross)))
-
-    assert best_val >= grid_best - 1e-3
-    assert abs(best_val - grid_best) < 1e-3
-    assert best_val <= 1.0 + 1e-12
+    phase = JonesOperator(np.exp(1j * theta) * np.eye(2))
+    v0 = loop_visibility(u)
+    assert loop_visibility(compose([u, phase])) == pytest.approx(v0, abs=1e-12)
+    assert loop_visibility(u, delay_jones=phase) == pytest.approx(v0, abs=1e-12)
 
 
 # ---------------------------------------------------------------- misc types
-
-
-def test_pc_setting_reduces_angles():
-    s = PcSetting(-1.0, 7.0, 2.0 * math.pi)
-    assert 0.0 <= s.theta1 < 2.0 * math.pi
-    assert 0.0 <= s.theta2 < 2.0 * math.pi
-    assert s.theta3 == 0.0
 
 
 def test_jones_state_normalization():
@@ -299,5 +185,5 @@ def test_operator_validation_and_svd():
 
 def test_rotator_is_antisymmetric_unitary():
     r = rotator(0.4)
-    assert r.is_unitary(1e-12)
+    assert np.max(np.abs(r.m.conj().T @ r.m - np.eye(2))) < 1e-12
     assert np.max(np.abs(r.m + r.m.T - 2 * np.diag(np.diag(r.m)))) < 1e-12

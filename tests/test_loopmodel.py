@@ -15,7 +15,6 @@ from loopqkd.loopmodel import (
     LoopConfig,
     fringe_coefficients,
     loop_fold,
-    pdl_penalty,
     standard_loop,
     timing_schedule,
 )
@@ -344,13 +343,13 @@ def test_timing_schedule_covers_all_components_both_ways():
 
 
 def test_pdl_penalty_ideal():
-    assert pdl_penalty(standard_loop()) == pytest.approx(1.0, abs=1e-12)
+    assert fringe_coefficients(standard_loop()).visibility == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pdl_penalty_loss_orthogonal_to_populated_axis():
     pdl = Component(ComponentKind.PDL_ELEMENT, label="pdl", jones=jones.diattenuator(1.0, 0.0))
     cfg = standard_loop(extra_components=(pdl,))
-    assert pdl_penalty(cfg) == pytest.approx(1.0, abs=1e-12)
+    assert fringe_coefficients(cfg).visibility == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pdl_penalty_matches_amplitude_chain():
@@ -379,14 +378,14 @@ def test_pdl_penalty_matches_amplitude_chain():
         want = abs(np.vdot(w, v)) / math.sqrt(
             float(np.vdot(v, v).real) * float(np.vdot(w, w).real)
         )
-        assert pdl_penalty(cfg) == pytest.approx(want, abs=1e-12)
+        assert fringe_coefficients(cfg).visibility == pytest.approx(want, abs=1e-12)
 
 
 def test_pdl_penalty_zero_power_rejected():
     pdl = Component(ComponentKind.PDL_ELEMENT, label="pdl", jones=jones.diattenuator(0.0, 0.0))
     cfg = standard_loop(extra_components=(pdl,))
     with pytest.raises(ValueError, match="single-path power"):
-        pdl_penalty(cfg)
+        fringe_coefficients(cfg).visibility
 
 
 # ---------------------------------------------------------------- types
@@ -406,4 +405,6 @@ def test_component_validation_messages():
 def test_loop_indexes_phase_modulators():
     cfg = standard_loop()
     assert cfg.components[cfg.alice_pm_index].owner == "alice"
-    assert cfg.components[cfg.bob_pm_index].owner == "bob"
+    extra_bob = Component(ComponentKind.PHASE_MODULATOR, label="PM-bob-2", owner="bob")
+    with pytest.raises(ValueError, match="exactly one phase modulator owned by bob, got 2"):
+        standard_loop(extra_components=(extra_bob,))
