@@ -48,11 +48,12 @@ class PhaseTable:
         default_factory=lambda: np.array([0.0, HALF_PI], dtype=float)
     )
 
-    def alice(self, basis: int, bit: int) -> float:
-        return float(self.alice_phases[basis, bit])
-
-    def bob(self, basis: int) -> float:
-        return float(self.bob_phases[basis])
+    @property
+    def cell_deltas(self) -> np.ndarray:
+        """Phase differences of the 8 protocol choice cells: cell
+        ``(alice_basis * 2 + alice_bit) * 2 + bob_basis`` holds
+        ``alice_phases[alice_basis, alice_bit] - bob_phases[bob_basis]``."""
+        return (self.alice_phases.reshape(4, 1) - self.bob_phases.reshape(1, 2)).reshape(8)
 
 
 PHASE_CODING = PhaseTable()

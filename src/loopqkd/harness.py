@@ -32,7 +32,7 @@ from . import jones
 from .bb84 import PHASE_CODING, EveConfig, EveStrategy, SessionStats, Transcript
 from .jones import JonesOperator, JonesState
 from .loopmodel import LoopConfig, fringe_coefficients, loop_fold, standard_loop
-from .loopnet import DisturbanceKind, Entity, RingConfig, run_network_session, select_partner
+from .loopnet import DisturbanceKind, Entity, RingConfig, noise_taps, select_partner
 from .quantumchannel import ClickOutcome, DetectorParams, DoubleClickPolicy, SourceParams
 from .quantumchannel import ExpectedSession, expected_session
 from .session import SessionParams, run_session
@@ -437,12 +437,10 @@ def run(
     t0 = time.perf_counter()
     params = scenario.session_params(seed=seed, pulses=pulses)
     chosen = scenario.resolve_partner(partner)
-    if chosen is not None:
-        stats, transcript = run_network_session(
-            scenario.ring, chosen, params, collect_records=collect_records
-        )
-    else:
-        stats, transcript = run_session(scenario.loop, params, collect_records=collect_records)
+    noise = () if chosen is None else noise_taps(scenario.ring, chosen)
+    stats, transcript = run_session(
+        scenario.effective_loop(chosen), params, noise, collect_records=collect_records
+    )
     report = RunReport(
         digest=scenario.digest,
         seed=params.seed,
@@ -453,9 +451,22 @@ def run(
     return report, transcript
 
 
+def _require_closed_form(scenario: Scenario, chosen: str | None) -> None:
+    """Fail closed where ``expected_session`` models nothing: Eve, or ring phase noise."""
+    eve = scenario.eve
+    if eve.strategy is not EveStrategy.OFF and eve.fraction > 0.0:
+        raise ScenarioError(f"the oracle models no eavesdropper (eve.fraction {eve.fraction})")
+    taps = () if chosen is None else noise_taps(scenario.ring, chosen)
+    if taps:
+        noisy = ", ".join(scenario.ring.entities[tap.tag].id for tap in taps)
+        raise ScenarioError(f"the oracle models no phase noise of ring modules {noisy}")
+
+
 def expected_for_scenario(scenario: Scenario, partner: str | None = None):
-    """Closed-form session expectation for this scenario's loop and parameters."""
-    fc = fringe_coefficients(scenario.effective_loop(partner))
+    """Closed-form session expectation; ``ScenarioError`` where it models nothing."""
+    chosen = scenario.resolve_partner(partner)
+    _require_closed_form(scenario, chosen)
+    fc = fringe_coefficients(scenario.effective_loop(chosen))
     return expected_session(fc, PHASE_CODING, scenario.source, scenario.detectors)
 
 
@@ -605,13 +616,15 @@ def calibrate(scenario: Scenario, target_raw_hz: float, target_qber: float) -> C
     one-dimensional solves are bisections on the exact expectation; the pair
     is alternated until residuals are below 1e-6 relative, or fails after
     12 rounds.  The rotation is circular birefringence, which the
-    counter-propagating loop does not cancel, so it realizes exactly the
-    fitted visibility cos(2 * angle).  Each evaluation applies the two
-    settings to a ``loopmodel.loop_fold`` made once; only the fitted
-    scenario is built, and checked, by ``build_scenario``.
+    counter-propagating loop does not cancel; the reported visibility is
+    the fitted loop's, cos(2 * angle) only on a polarization-neutral base.
+    Each evaluation applies the two settings to a ``loopmodel.loop_fold``
+    made once; only the fitted scenario is built, and checked, by
+    ``build_scenario``.  A base with Eve is refused before any solve.
     """
     if scenario.ring is not None:
         raise ScenarioError("calibrate expects a two-party loop scenario")
+    _require_closed_form(scenario, None)
     if target_raw_hz <= 0.0:
         raise ScenarioError(f"target raw rate must be > 0, got {target_raw_hz:g}")
     if not (0.0 <= target_qber < 0.5):
@@ -672,7 +685,7 @@ def calibrate(scenario: Scenario, target_raw_hz: float, target_qber: float) -> C
     return CalibrationResult(
         effective=fitted_scenario.effective,
         transmittance=float(t_sol),
-        visibility=math.cos(2.0 * angle_sol),
+        visibility=fold.at(t_sol, jones.rotation(angle_sol)).visibility,
         rotation_angle=float(angle_sol),
         expected_raw_rate=got.raw_rate,
         expected_qber=got.qber,

@@ -17,10 +17,10 @@ from enum import Enum
 
 import numpy as np
 
-from .bb84 import SessionStats, Transcript
+from .bb84 import SessionStats
 from .jones import H_POL, IDENTITY, JonesOperator, JonesState
 from .loopmodel import Component, ComponentKind, LoopConfig
-from .session import DisturbanceKind, NoiseTap, SessionParams, run_session
+from .session import DisturbanceKind, NoiseTap
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,10 @@ def select_partner(ring: RingConfig, partner_id: str) -> LoopConfig:
 
 
 def noise_taps(ring: RingConfig, partner_id: str) -> tuple[NoiseTap, ...]:
-    """Disturbance sources for a session: every noisy module except the partner's."""
+    """Disturbance sources for a session: every noisy module except the partner's.
+
+    The one place that decides which taps are live: a quiet module gets none.
+    """
     taps = []
     for i, entity in enumerate(ring.entities):
         if entity.id != partner_id and entity.disturbance_sigma > 0.0:
@@ -166,17 +169,6 @@ def noise_taps(ring: RingConfig, partner_id: str) -> tuple[NoiseTap, ...]:
                 NoiseTap(sigma=entity.disturbance_sigma, kind=entity.disturbance_kind, tag=i)
             )
     return tuple(taps)
-
-
-def run_network_session(
-    ring: RingConfig,
-    partner_id: str,
-    params: SessionParams,
-    collect_records: bool = False,
-) -> tuple[SessionStats, Transcript | None]:
-    """Full protocol session between Bob and the selected ring entity."""
-    config = select_partner(ring, partner_id)
-    return run_session(config, params, noise=noise_taps(ring, partner_id), collect_records=collect_records)
 
 
 class DisturbanceVerdict(str, Enum):

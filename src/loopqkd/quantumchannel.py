@@ -159,20 +159,6 @@ class ClickLaw:
         return q_none, t_d1, t_d1 + self.q_d2
 
 
-def cell_click_law(
-    fc: FringeCoefficients, phase_table, src: SourceParams, det: DetectorParams
-) -> ClickLaw:
-    """Click law of the 8 protocol choice cells (1-D arrays of length 8).
-
-    Cell ``(alice_basis * 2 + alice_bit) * 2 + bob_basis`` holds the phase
-    difference ``alice_phases[alice_basis, alice_bit] - bob_phases[bob_basis]``
-    of ``phase_table`` (a ``bb84.PhaseTable``); an intercept-resend pulse
-    falls in the cell of Eve's re-prepared (basis, bit) instead.
-    """
-    delta = (phase_table.alice_phases.reshape(4, 1) - phase_table.bob_phases.reshape(1, 2)).reshape(8)
-    return ClickLaw.at_phase(delta, fc, src, det)
-
-
 @dataclass(frozen=True)
 class ExpectedSession:
     """Closed-form per-pulse expectations for a BB84 session over a given loop."""
@@ -193,14 +179,14 @@ def expected_session(
     """Exact session expectations by enumerating the 8 equally likely choice cells.
 
     ``fc`` is the loop's fringe and ``phase_table`` the protocol's phase
-    coding (a ``bb84.PhaseTable``).
-    The cells' click law is ``cell_click_law``, the same table whose
-    thresholds the session engine samples from.  Averages over uniform
+    coding (a ``bb84.PhaseTable``).  The cells' click law is evaluated on
+    ``phase_table.cell_deltas``, the same table whose thresholds the session
+    engine samples from.  Averages over uniform
     independent bit and basis choices, applies the double-click policy, and
     counts an error when a sifted click decodes to the wrong bit
     (detector 1 -> 0, detector 2 -> 1).
     """
-    law = cell_click_law(fc, phase_table, src, det)
+    law = ClickLaw.at_phase(phase_table.cell_deltas, fc, src, det)
     q_d1, q_d2, q_both = law.q_d1.tolist(), law.q_d2.tolist(), law.q_both.tolist()
     policy = det.double_click_policy
     sifted = 0.0

@@ -21,15 +21,15 @@ its batch index (pulse // batch_size) and offset (pulse % batch_size).
 
 Click sampling: each pulse draws one detection uniform and lands in the
 outcome none|d1|d2|both given by how many of three cumulative thresholds
-it passes.  Without a live noise tap, a pulse's phase difference is fixed
-by its choice cell, (alice basis * 2 + alice bit) * 2 + bob basis, or by
-Eve's re-prepared (basis, bit) in place of Alice's on an attacked pulse.
-The thresholds of the 8 cells are then computed once per session
-(``quantumchannel.cell_click_law``) and gathered per pulse.  A live noise
-tap makes the phase difference continuous, so the thresholds are computed
-per pulse from its own phase difference (``ClickLaw.at_phase``).  Both
-paths, and ``expected_session``, evaluate the one expression in
-``ClickLaw``, so a pulse gets bit-identical thresholds on either path.
+it passes.  Every step reads ``PhaseTable.cell_deltas`` through one cell
+index per pulse: Eve's bit is a gather from cos^2(delta / 2) of the 8 cells
+(her basis in place of Bob's), her attack moves a pulse to the cell of her
+re-prepared (basis, bit), and without a noise tap the thresholds of the 8
+cells are computed once per session and gathered.  Noise taps add their
+draws to the cell's difference, so those thresholds are computed per pulse
+(``ClickLaw.at_phase``).  Both paths, and ``expected_session``, evaluate the
+one expression in ``ClickLaw``, so a pulse gets bit-identical thresholds on
+either path.
 
 Transcripts are columnar: on request the engine keeps each batch's choice,
 phase, outcome and sifting arrays and returns them concatenated as one
@@ -60,7 +60,6 @@ from .quantumchannel import (
     DoubleClickPolicy,
     RngStream,
     SourceParams,
-    cell_click_law,
 )
 
 PURPOSE_CHOICES = 1
@@ -84,7 +83,8 @@ class NoiseTap:
     Both counter-propagating pulses traverse the module, each pass drawing
     its own phase, so only the difference of the two draws survives at the
     coupler.  Gaussian taps draw N(0, sigma^2) per pass; uniform taps draw
-    U[0, 2pi) per pass (the strong-disturbance limit).
+    U[0, 2pi) per pass (the strong-disturbance limit).  A quiet module gets
+    no tap at all (``loopnet.noise_taps``).
     """
 
     sigma: float
@@ -92,8 +92,8 @@ class NoiseTap:
     tag: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.sigma >= 0.0):
-            raise ValueError(f"disturbance sigma must be >= 0, got {self.sigma}")
+        if not (self.sigma > 0.0):
+            raise ValueError(f"disturbance sigma must be > 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -132,28 +132,23 @@ def run_session(
     """Execute a full session: loop optics -> click sampling -> sifting counts.
 
     Deterministic given (config, params, noise); see the module docstring
-    for the substream layout.  Every parameter object checked itself when
-    it was built, so nothing is re-checked here.  Without a live noise tap (a Gaussian tap
-    with sigma 0 is dead and draws nothing), each pulse's thresholds are
-    gathered from the 8-cell table built once from ``cell_click_law``;
-    with one, they are computed per pulse by ``ClickLaw.at_phase``.  Both
-    give the same thresholds for the same phase difference.
-    ``collect_records`` also returns the session's columnar ``Transcript``:
-    each batch's arrays are kept and concatenated once at the end, a few
-    tens of bytes per pulse.
+    for the substream layout and the cell table every step reads.  Every
+    parameter object checked itself when it was built, so nothing is
+    re-checked here.  ``collect_records`` also returns the session's
+    columnar ``Transcript``: each batch's arrays are kept and concatenated
+    once at the end, a few tens of bytes per pulse.
     """
     fc = fringe_coefficients(config)
     root = RngStream(params.seed)
     table = params.table
+    cell_deltas = table.cell_deltas
     policy = params.detectors.double_click_policy
     eve_on = params.eve.strategy is not EveStrategy.OFF
-    # a zero-sigma Gaussian tap adds exactly zero phase and draws nothing
-    live_taps = tuple(
-        tap for tap in noise if not (tap.sigma == 0.0 and tap.kind is DisturbanceKind.GAUSSIAN)
-    )
-    need_phases = eve_on or collect_records or bool(live_taps)
-    if not live_taps:
-        cell_thresholds = cell_click_law(fc, table, params.source, params.detectors).thresholds()
+    if eve_on:
+        eve_p_zero = np.cos(cell_deltas / 2.0) ** 2
+    if not noise:
+        cell_law = ClickLaw.at_phase(cell_deltas, fc, params.source, params.detectors)
+        cell_thresholds = cell_law.thresholds()
 
     pulses_left = params.pulses
     batch = 0
@@ -170,26 +165,20 @@ def run_session(
         alice_bits = g_choice.integers(0, 2, size=n)
         alice_bases = g_choice.integers(0, 2, size=n)
         bob_bases = g_choice.integers(0, 2, size=n)
-
-        if need_phases:
-            phi_a = table.alice_phases[alice_bases, alice_bits]
-            phi_b = table.bob_phases[bob_bases]
+        cell = (alice_bases * 2 + alice_bits) * 2 + bob_bases
 
         if eve_on:
             g_eve = root.substream(PURPOSE_EVE, batch).generator
             u_attack = g_eve.random(n)
             eve_bases = g_eve.integers(0, 2, size=n)
             u_outcome = g_eve.random(n)
+            eve_bits = u_outcome >= eve_p_zero[cell - bob_bases + eve_bases]
             attacked = u_attack < params.eve.fraction
-            p_zero = np.cos((phi_a - table.bob_phases[eve_bases]) / 2.0) ** 2
-            eve_bits = (u_outcome >= p_zero).astype(np.int64)
+            cell = np.where(attacked, (eve_bases * 2 + eve_bits) * 2 + bob_bases, cell)
 
-        if live_taps:
-            eff_phi_a = phi_a
-            if eve_on:
-                eff_phi_a = np.where(attacked, table.alice_phases[eve_bases, eve_bits], phi_a)
-            delta = eff_phi_a - phi_b
-            for tap in live_taps:
+        if noise:
+            delta = cell_deltas[cell]
+            for tap in noise:
                 g_noise = root.substream(PURPOSE_NOISE_BASE + tap.tag, batch).generator
                 if tap.kind is DisturbanceKind.GAUSSIAN:
                     cw_pass = g_noise.normal(0.0, tap.sigma, size=n)
@@ -202,9 +191,6 @@ def run_session(
                 delta, fc, params.source, params.detectors
             ).thresholds()
         else:
-            cell = (alice_bases * 2 + alice_bits) * 2 + bob_bases
-            if eve_on:
-                cell = np.where(attacked, (eve_bases * 2 + eve_bits) * 2 + bob_bases, cell)
             t_none, t_d1, t_d2 = (t[cell] for t in cell_thresholds)
 
         g_detect = root.substream(PURPOSE_DETECT, batch).generator
@@ -241,6 +227,8 @@ def run_session(
         disclosed_bits += int(np.count_nonzero(disclosed_mask))
 
         if collect_records:
+            phi_a = table.alice_phases[alice_bases, alice_bits]
+            phi_b = table.bob_phases[bob_bases]
             batches.append(
                 (alice_bits, alice_bases, bob_bases, phi_a, phi_b, raw_code, sifted, decoded)
             )

@@ -41,19 +41,30 @@ def transcript_of(pulses, seed, cfg=None, **params):
 
 
 def test_phase_table_rows():
-    assert PHASE_CODING.alice(0, 0) == 0.0
-    assert PHASE_CODING.alice(0, 1) == pytest.approx(math.pi)
-    assert PHASE_CODING.alice(1, 0) == pytest.approx(math.pi / 2)
-    assert PHASE_CODING.alice(1, 1) == pytest.approx(3 * math.pi / 2)
-    assert PHASE_CODING.bob(0) == 0.0
-    assert PHASE_CODING.bob(1) == pytest.approx(math.pi / 2)
+    assert PHASE_CODING.alice_phases[0, 0] == 0.0
+    assert PHASE_CODING.alice_phases[0, 1] == pytest.approx(math.pi)
+    assert PHASE_CODING.alice_phases[1, 0] == pytest.approx(math.pi / 2)
+    assert PHASE_CODING.alice_phases[1, 1] == pytest.approx(3 * math.pi / 2)
+    assert PHASE_CODING.bob_phases[0] == 0.0
+    assert PHASE_CODING.bob_phases[1] == pytest.approx(math.pi / 2)
+
+
+def test_cell_deltas_follow_the_cell_layout():
+    deltas = PHASE_CODING.cell_deltas
+    assert deltas.shape == (8,)
+    for a_basis in (0, 1):
+        for bit in (0, 1):
+            for b_basis in (0, 1):
+                want = PHASE_CODING.alice_phases[a_basis, bit] - PHASE_CODING.bob_phases[b_basis]
+                assert deltas[(a_basis * 2 + bit) * 2 + b_basis] == want
 
 
 def test_phase_table_basis_match_structure():
     for a_basis in (0, 1):
         for bit in (0, 1):
             for b_basis in (0, 1):
-                delta = (PHASE_CODING.alice(a_basis, bit) - PHASE_CODING.bob(b_basis)) % TWO_PI
+                phi_a = PHASE_CODING.alice_phases[a_basis, bit]
+                delta = (phi_a - PHASE_CODING.bob_phases[b_basis]) % TWO_PI
                 if a_basis == b_basis:
                     assert min(abs(delta - 0.0), abs(delta - math.pi), abs(delta - TWO_PI)) < 1e-12
                 else:
@@ -104,7 +115,7 @@ def test_matched_basis_ideal_optics_is_deterministic():
     det = DetectorParams()
     for basis in (0, 1):
         for bit in (0, 1):
-            p1, p2 = fc.probs(PHASE_CODING.alice(basis, bit) - PHASE_CODING.bob(basis))
+            p1, p2 = fc.probs(PHASE_CODING.alice_phases[basis, bit] - PHASE_CODING.bob_phases[basis])
             law = ClickLaw(*no_click_probabilities(p1, p2, src, det))
             assert law.q_both == 0.0
             if bit == 0:
@@ -147,13 +158,13 @@ def test_intercept_resend_error_rate_by_enumeration():
     cells = 0
     for a_basis in (0, 1):
         for a_bit in (0, 1):
-            phi_a = PHASE_CODING.alice(a_basis, a_bit)
+            phi_a = PHASE_CODING.alice_phases[a_basis, a_bit]
             for e_basis in (0, 1):
-                p_e0 = math.cos((phi_a - PHASE_CODING.bob(e_basis)) / 2.0) ** 2
+                p_e0 = math.cos((phi_a - PHASE_CODING.bob_phases[e_basis]) / 2.0) ** 2
                 for e_bit, p_e in ((0, p_e0), (1, 1.0 - p_e0)):
-                    re_phi = PHASE_CODING.alice(e_basis, e_bit)
+                    re_phi = PHASE_CODING.alice_phases[e_basis, e_bit]
                     # Bob measures in Alice's basis (only matched pulses survive sifting)
-                    delta = (re_phi - PHASE_CODING.bob(a_basis)) % TWO_PI
+                    delta = (re_phi - PHASE_CODING.bob_phases[a_basis]) % TWO_PI
                     p_click_d1 = math.cos(delta / 2.0) ** 2
                     p_wrong = (1.0 - p_click_d1) if a_bit == 0 else p_click_d1
                     total_error += 0.5 * p_e * p_wrong  # eve basis is a fair coin
@@ -171,8 +182,8 @@ def _record(i, bit, a_basis, b_basis, outcome, decoded=None):
         alice_bit=bit,
         alice_basis=a_basis,
         bob_basis=b_basis,
-        phi_a=PHASE_CODING.alice(a_basis, bit),
-        phi_b=PHASE_CODING.bob(b_basis),
+        phi_a=PHASE_CODING.alice_phases[a_basis, bit],
+        phi_b=PHASE_CODING.bob_phases[b_basis],
         outcome=outcome,
         sifted=decoded is not None,
         decoded_bit=decoded,

@@ -21,7 +21,6 @@ from loopqkd.quantumchannel import (
     DetectorParams,
     DoubleClickPolicy,
     SourceParams,
-    cell_click_law,
     expected_session,
     no_click_probabilities,
 )
@@ -61,7 +60,7 @@ def per_cell_expected(cfg, table, src, det):
     for a_basis in (0, 1):
         for a_bit in (0, 1):
             for b_basis in (0, 1):
-                delta = table.alice(a_basis, a_bit) - table.bob(b_basis)
+                delta = table.alice_phases[a_basis, a_bit] - table.bob_phases[b_basis]
                 p1, p2 = fc.probs(delta % (2.0 * math.pi))
                 d = ClickLaw(*no_click_probabilities(p1, p2, src, det))
                 clicks += w * (d.q_d1 + d.q_d2 + d.q_both)
@@ -86,7 +85,7 @@ def test_gathered_cell_thresholds_equal_per_pulse_thresholds(cfg, src, det, seed
     cell = rng.permutation(np.arange(1024 + int(rng.integers(0, 512))) % 8)
     alice_basis, alice_bit, bob_basis = cell // 4, cell // 2 % 2, cell % 2
     delta = table.alice_phases[alice_basis, alice_bit] - table.bob_phases[bob_basis]
-    gathered = [t[cell] for t in cell_click_law(fc, table, src, det).thresholds()]
+    gathered = [t[cell] for t in ClickLaw.at_phase(table.cell_deltas, fc, src, det).thresholds()]
     for got, want in zip(gathered, per_pulse_thresholds(delta, fc, src, det)):
         assert np.array_equal(got, want)
 

@@ -15,16 +15,18 @@ coupler and an elliptical source.
 
 import hashlib
 import io
+import math
 from pathlib import Path
 
 import pytest
+import yaml
 
 from loopqkd import harness
 from loopqkd.bb84 import EveConfig, EveStrategy
 from loopqkd.cli import main
 from loopqkd.harness import transcript_csv
 from loopqkd.jones import rotator
-from loopqkd.loopmodel import standard_loop
+from loopqkd.loopmodel import fringe_coefficients, standard_loop
 from loopqkd.quantumchannel import DetectorParams, DoubleClickPolicy, SourceParams
 from loopqkd.session import SessionParams, run_session
 
@@ -157,6 +159,17 @@ def test_calibrate_output_bytes_match_golden(case, tmp_path):
     argv = ["calibrate", str(base), "--target-raw", "1200", "--target-qber", "0.054"]
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CALIBRATE_CASES[case]
+
+
+def test_calibrate_reports_the_fitted_loops_visibility():
+    # the birefringent links lower the visibility on their own, so the
+    # rotation's cos(2 * angle), 0.99581 here, is not the fitted loop's
+    base = harness.build_scenario(yaml.safe_load(BIREFRINGENT_BASE))
+    result = harness.calibrate(base, target_raw_hz=1200.0, target_qber=0.054)
+    fitted = harness.build_scenario(result.effective)
+    assert result.visibility == fringe_coefficients(fitted.loop).visibility
+    assert result.visibility == pytest.approx(0.98002, abs=1e-5)
+    assert math.cos(2.0 * result.rotation_angle) == pytest.approx(0.99581, abs=1e-5)
 
 
 def test_transcript_chunks_keep_the_bytes(monkeypatch, tmp_path):

@@ -708,6 +708,30 @@ def test_run_matches_closed_form_oracle():
     assert report.digest == sc.digest
 
 
+def test_oracle_refuses_what_it_does_not_model():
+    # the engine measures a QBER near 0.18 on this ring; the closed form,
+    # blind to Eve and to david's phase noise, would say 0.00028
+    ring = load_scenario(str(ROOT / "perfbench" / "scenarios" / "ring_noisy.yaml"))
+    with pytest.raises(ScenarioError, match=r"models no eavesdropper \(eve.fraction 0.5\)$"):
+        expected_for_scenario(ring)
+    eff = copy.deepcopy(ring.effective)
+    eff["eve"]["fraction"] = 0.0
+    unattacked = build_scenario(eff)
+    with pytest.raises(ScenarioError, match="models no phase noise of ring modules david$"):
+        expected_for_scenario(unattacked)
+    # david's own module is his modulator, so his session has no noise tap
+    assert expected_for_scenario(unattacked, partner="david").qber < 1e-3
+
+    ideal = load_scenario(str(SCENARIOS / "paper_ideal.yaml"))
+    eff = copy.deepcopy(ideal.effective)
+    eff["eve"] = {"strategy": "intercept_resend", "fraction": 0.5}
+    with pytest.raises(ScenarioError, match="eavesdropper"):
+        expected_for_scenario(build_scenario(eff))
+    # an eavesdropper who attacks nothing changes nothing
+    eff["eve"]["fraction"] = 0.0
+    assert expected_for_scenario(build_scenario(eff)) == expected_for_scenario(ideal)
+
+
 def test_run_is_reproducible():
     sc = load_scenario(str(SCENARIOS / "paper_ideal.yaml"))
     r1, _ = run(sc, pulses=50_000)
@@ -903,6 +927,25 @@ def test_calibrate_builds_only_the_fitted_scenario(monkeypatch):
     monkeypatch.setattr(JonesOperator, "is_diattenuator", counted_check)
     calibrate(sc, target_raw_hz=1200.0, target_qber=0.054)
     assert (builds, checks) == (1, len(sc.loop.components)) == (1, 9)
+
+
+def test_calibrate_refuses_an_attacked_base_before_solving(monkeypatch):
+    # fitted to QBER 0.054 by an oracle blind to Eve, this base ran at 0.166
+    eff = copy.deepcopy(load_scenario(str(SCENARIOS / "calibration_base.yaml")).effective)
+    eff["eve"] = {"strategy": "intercept_resend", "fraction": 0.5}
+    sc = build_scenario(eff)
+    calls = 0
+    expected_session = harness.expected_session
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return expected_session(*args)
+
+    monkeypatch.setattr(harness, "expected_session", counted)
+    with pytest.raises(ScenarioError, match="models no eavesdropper"):
+        calibrate(sc, target_raw_hz=1200.0, target_qber=0.054)
+    assert calls == 0
 
 
 def test_fitted_shipped_scenario_matches_calibration():

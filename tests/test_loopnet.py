@@ -14,7 +14,6 @@ from loopqkd.loopnet import (
     detect_disturbance,
     expected_disturbed_qber,
     noise_taps,
-    run_network_session,
     select_partner,
 )
 from loopqkd.quantumchannel import SourceParams
@@ -25,6 +24,11 @@ def four_party_ring(**entity_kwargs):
     names = ("alice", "david", "fox", "george")
     entities = tuple(Entity(id=n, **entity_kwargs.get(n, {})) for n in names)
     return RingConfig(entities=entities, link_lengths=(100.0,) * 5, delay_length=800.0)
+
+
+def ring_session(ring, partner, params):
+    """One session between Bob and ``partner``, flattened and tapped as ``harness.run`` does."""
+    return run_session(select_partner(ring, partner), params, noise_taps(ring, partner))
 
 
 def stats_without_rate(s: SessionStats):
@@ -39,7 +43,7 @@ def test_single_entity_ring_equals_two_party_loop():
     flat = select_partner(ring, "alice")
     two_party = standard_loop(upper_length=200.0, lower_length=200.0, delay_length=800.0)
     params = SessionParams(pulses=40_000, seed=71, source=SourceParams(mu=0.2))
-    ring_stats, _ = run_network_session(ring, "alice", params)
+    ring_stats, _ = ring_session(ring, "alice", params)
     direct_stats, _ = run_session(two_party, params)
     assert ring_stats == direct_stats
     fc_ring = fringe_coefficients(flat)
@@ -119,7 +123,7 @@ def test_insertion_loss_scales_total_probability():
 
 def test_quiet_ring_session_is_error_free():
     ring = four_party_ring()
-    stats, _ = run_network_session(
+    stats, _ = ring_session(
         ring, "david", SessionParams(pulses=100_000, seed=79, source=SourceParams(mu=0.2))
     )
     assert stats.errors == 0
@@ -131,7 +135,7 @@ def test_gaussian_disturbance_raises_qber():
     ring = four_party_ring(fox={"disturbance_sigma": sigma})
     assert len(noise_taps(ring, "david")) == 1
     assert noise_taps(ring, "fox") == ()  # the partner's own module never disturbs
-    stats, _ = run_network_session(
+    stats, _ = ring_session(
         ring, "david", SessionParams(pulses=400_000, seed=83, source=SourceParams(mu=0.1))
     )
     want = expected_disturbed_qber(sigma)
@@ -143,7 +147,7 @@ def test_gaussian_disturbance_raises_qber():
 def test_small_sigma_matches_gaussian_expectation():
     sigma = 0.4
     ring = four_party_ring(george={"disturbance_sigma": sigma})
-    stats, _ = run_network_session(
+    stats, _ = ring_session(
         ring, "alice", SessionParams(pulses=400_000, seed=89, source=SourceParams(mu=0.1))
     )
     want = expected_disturbed_qber(sigma)
@@ -155,7 +159,7 @@ def test_uniform_disturbance_randomizes_key():
     ring = four_party_ring(
         fox={"disturbance_sigma": 1.0, "disturbance_kind": DisturbanceKind.UNIFORM}
     )
-    stats, _ = run_network_session(
+    stats, _ = ring_session(
         ring, "david", SessionParams(pulses=400_000, seed=97, source=SourceParams(mu=0.1))
     )
     assert stats.qber == pytest.approx(0.5, abs=0.01)
@@ -173,7 +177,7 @@ def test_disturbance_monotone_in_simulation():
     results = []
     for sigma in (0.0, 0.5, 1.2):
         ring = four_party_ring(fox={"disturbance_sigma": sigma})
-        stats, _ = run_network_session(
+        stats, _ = ring_session(
             ring, "david", SessionParams(pulses=150_000, seed=101, source=SourceParams(mu=0.2))
         )
         results.append(stats.qber)

@@ -14,7 +14,6 @@ from loopqkd.quantumchannel import (
     DoubleClickPolicy,
     RngStream,
     SourceParams,
-    cell_click_law,
     expected_session,
     no_click_probabilities,
 )
@@ -143,7 +142,7 @@ def test_sample_pulse_law_of_large_numbers():
     det = DetectorParams(efficiency=0.7, dark_prob=0.01)
     n = 400_000
     _, t = run_session(cfg, SessionParams(pulses=n, seed=42, source=src, detectors=det), collect_records=True)
-    law = cell_click_law(fringe_coefficients(cfg), PHASE_CODING, src, det)
+    law = ClickLaw.at_phase(PHASE_CODING.cell_deltas, fringe_coefficients(cfg), src, det)
     cell = (t.alice_bases * 2 + t.alice_bits) * 2 + t.bob_bases
     for c in range(8):
         codes = t.outcome[cell == c]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopqkd.bb84 import PHASE_CODING, EveConfig, EveStrategy, PulseRecord, sift
 from loopqkd.harness import transcript_csv
@@ -44,6 +45,82 @@ def test_session_independent_of_batch_size():
     a, _ = run_session(cfg, SessionParams(pulses=30_000, seed=5, batch_size=1 << 15))
     b, _ = run_session(cfg, SessionParams(pulses=30_000, seed=5, batch_size=1 << 17))
     assert a == b
+
+
+# ---------------------------------------------------------------- substream layout
+#
+# Substreams are keyed by batch index, so a session's counts change with
+# batch_size once it spans more than one batch.  What the layout does
+# guarantee is checked below over random loops, Eve, Gaussian and uniform
+# noise taps, both double-click policies, swapped detector bits and
+# disclosed fractions below one.
+
+
+@st.composite
+def session_setups(draw):
+    """(loop, SessionParams keywords without pulses and batch_size, noise taps)."""
+    cfg = standard_loop(
+        delay_jones=rotator(draw(st.floats(-1.0, 1.0))),
+        attenuator_transmittance=draw(st.floats(0.05, 1.0)),
+    )
+    fraction = draw(st.floats(0.0, 1.0))
+    kinds = draw(st.lists(st.sampled_from(list(DisturbanceKind)), max_size=2))
+    noise = tuple(
+        NoiseTap(sigma=draw(st.floats(0.01, 3.0)), kind=kind, tag=i) for i, kind in enumerate(kinds)
+    )
+    params = dict(
+        seed=draw(st.integers(0, 2**64 - 1)),
+        source=SourceParams(mu=draw(st.floats(0.05, 2.0))),
+        detectors=DetectorParams(
+            efficiency=draw(st.floats(0.1, 1.0)),
+            dark_prob=draw(st.floats(0.0, 0.05)),
+            double_click_policy=draw(st.sampled_from(list(DoubleClickPolicy))),
+        ),
+        eve=draw(st.sampled_from([EveConfig(), EveConfig(EveStrategy.INTERCEPT_RESEND, fraction)])),
+        disclosed_fraction=draw(st.one_of(st.just(1.0), st.floats(0.05, 0.95))),
+        swap_detector_bits=draw(st.booleans()),
+    )
+    return cfg, params, noise
+
+
+def session_counts(stats):
+    return (stats.pulses_sent, stats.raw_clicks, stats.sifted_bits, stats.errors, stats.disclosed_bits)
+
+
+def transcript_columns(transcript):
+    return [getattr(transcript, f.name) for f in dataclasses.fields(transcript)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(session_setups(), st.integers(1, 2000), st.integers(0, 3000), st.integers(0, 3000))
+def test_batch_sizes_that_hold_the_session_agree(setup, pulses, spare_a, spare_b):
+    cfg, params, noise = setup
+    (stats_a, t_a), (stats_b, t_b) = (
+        run_session(
+            cfg, SessionParams(pulses=pulses, batch_size=pulses + spare, **params), noise, True
+        )
+        for spare in (spare_a, spare_b)
+    )
+    assert session_counts(stats_a) == session_counts(stats_b)
+    for a, b in zip(transcript_columns(t_a), transcript_columns(t_b)):
+        assert np.array_equal(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(session_setups(), st.integers(1, 64), st.integers(1, 4), st.integers(1, 200))
+def test_whole_batches_are_a_prefix_of_a_longer_session(setup, batch, k, more):
+    cfg, params, noise = setup
+    n = k * batch
+    stats, short = run_session(
+        cfg, SessionParams(pulses=n, batch_size=batch, **params), noise, collect_records=True
+    )
+    _, long = run_session(
+        cfg, SessionParams(pulses=n + more, batch_size=batch, **params), noise, collect_records=True
+    )
+    for got, want in zip(transcript_columns(short), transcript_columns(long)):
+        assert np.array_equal(got, want[:n])
+    assert stats.raw_clicks == np.count_nonzero(long.outcome[:n])
+    assert stats.sifted_bits == np.count_nonzero(long.sifted[:n])
 
 
 def test_multi_batch_session_matches_closed_form():
@@ -261,6 +338,7 @@ def test_session_params_validation():
         SessionParams(pulses=10, seed=1, eve=EveConfig(fraction=1.5))
     with pytest.raises(ValueError, match="batch_size"):
         SessionParams(pulses=10, seed=1, batch_size=0)
-    for sigma in (-1.0, math.nan):
-        with pytest.raises(ValueError, match="disturbance sigma"):
+    # a tap is live by construction: a module that does not disturb gets none
+    for sigma in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match="disturbance sigma must be > 0"):
             NoiseTap(sigma=sigma)
