@@ -21,6 +21,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .loopmodel import DEFAULT_GATE_WIDTH, LoopConfig, modulator_separation
 from .quantumchannel import ClickOutcome, RngStream
 
 HALF_PI = math.pi / 2.0
@@ -54,6 +55,20 @@ class PhaseTable:
         ``(alice_basis * 2 + alice_bit) * 2 + bob_basis`` holds
         ``alice_phases[alice_basis, alice_bit] - bob_phases[bob_basis]``."""
         return (self.alice_phases.reshape(4, 1) - self.bob_phases.reshape(1, 2)).reshape(8)
+
+    def through(self, loop: LoopConfig) -> "PhaseTable":
+        """The phases that reach the coupler over ``loop``.
+
+        A party's phase shifts one pulse alone only if the two pulses pass
+        its modulator at least ``DEFAULT_GATE_WIDTH`` apart.  Closer than
+        that, both pulses take it and it cancels: the party's phases become
+        0.  The 0/1 factor is exact, so a separated loop keeps every phase.
+        """
+        alice, bob = (
+            float(modulator_separation(loop, owner) >= DEFAULT_GATE_WIDTH)
+            for owner in ("alice", "bob")
+        )
+        return PhaseTable(self.alice_phases * alice, self.bob_phases * bob)
 
 
 PHASE_CODING = PhaseTable()

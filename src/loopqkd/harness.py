@@ -466,8 +466,9 @@ def expected_for_scenario(scenario: Scenario, partner: str | None = None):
     """Closed-form session expectation; ``ScenarioError`` where it models nothing."""
     chosen = scenario.resolve_partner(partner)
     _require_closed_form(scenario, chosen)
-    fc = fringe_coefficients(scenario.effective_loop(chosen))
-    return expected_session(fc, PHASE_CODING, scenario.source, scenario.detectors)
+    loop = scenario.effective_loop(chosen)
+    table = PHASE_CODING.through(loop)
+    return expected_session(fringe_coefficients(loop), table, scenario.source, scenario.detectors)
 
 
 # --------------------------------------------------------------------------
@@ -619,8 +620,10 @@ def calibrate(scenario: Scenario, target_raw_hz: float, target_qber: float) -> C
     counter-propagating loop does not cancel; the reported visibility is
     the fitted loop's, cos(2 * angle) only on a polarization-neutral base.
     Each evaluation applies the two settings to a ``loopmodel.loop_fold``
-    made once; only the fitted scenario is built, and checked, by
-    ``build_scenario``.  A base with Eve is refused before any solve.
+    and a ``PhaseTable.through`` made once; only the fitted scenario is
+    built, and checked, by ``build_scenario``.  A base with Eve is refused
+    before any solve, and a base whose pulses meet at Alice's modulator
+    fails as "not achievable": its QBER floor is 1/2.
     """
     if scenario.ring is not None:
         raise ScenarioError("calibrate expects a two-party loop scenario")
@@ -631,10 +634,11 @@ def calibrate(scenario: Scenario, target_raw_hz: float, target_qber: float) -> C
         raise ScenarioError(f"target QBER must be in [0, 0.5), got {target_qber:g}")
 
     fold = loop_fold(scenario.loop)
+    table = PHASE_CODING.through(scenario.loop)
 
     def expect(transmittance: float, angle: float) -> ExpectedSession:
         fc = fold.at(transmittance, jones.rotation(angle))
-        return expected_session(fc, PHASE_CODING, scenario.source, scenario.detectors)
+        return expected_session(fc, table, scenario.source, scenario.detectors)
 
     angle_sol = 0.0
     t_floor = 1e-9

@@ -12,6 +12,12 @@ a +90 degree phase (standard lossless 2x2 coupler), the rest goes straight
 through.  The clockwise pulse is launched from the straight-through port
 and carries Alice's phase shift; the counterclockwise pulse is launched
 from the cross port and carries Bob's.
+
+Timing: both pulses leave the coupler together, so they pass a modulator
+|fiber before it - fiber after it| apart (``modulator_separation``).  The
+delay fiber on Bob's side keeps them apart at Alice's modulator.  Closer
+than a gate width, a modulator shifts both pulses and its phase cancels
+at the coupler.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, vacuum
 # Silica fiber near 830 nm; used for pulse time-of-flight.
 DEFAULT_GROUP_INDEX = 1.468
 
-# Modulators are gated; two pulse transits closer than this collide.
+# Modulators are gated: a modulator shifts one pulse alone only if the two
+# pulses pass it at least this far apart (``bb84.PhaseTable.through``).
 DEFAULT_GATE_WIDTH = 100e-9  # s
 
 
@@ -44,11 +51,6 @@ class ComponentKind(str, Enum):
 
 
 FIBER_KINDS = (ComponentKind.FIBER, ComponentKind.DELAY_FIBER)
-
-
-class Direction(str, Enum):
-    CW = "cw"
-    CCW = "ccw"
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,14 +112,13 @@ class LoopConfig:
 
     Exactly one phase modulator per party, one attenuator, and one delay
     fiber are required, and ``source_pol`` must be normalized.
-    ``alice_pm_index``, ``attenuator_index`` and ``delay_index`` are
-    derived from the component list.
+    ``attenuator_index`` and ``delay_index`` are derived from the
+    component list.
     """
 
     components: tuple[Component, ...]
     coupler_ratio: float = 0.5
     source_pol: JonesState = H_POL
-    alice_pm_index: int = field(init=False)
     attenuator_index: int = field(init=False)
     delay_index: int = field(init=False)
 
@@ -126,15 +127,12 @@ class LoopConfig:
         if not (0.0 < self.coupler_ratio < 1.0):
             raise ValueError(f"coupler_ratio must be in (0, 1), got {self.coupler_ratio}")
         # a constructed Component gives an owner to phase modulators only
-        modulators: dict[str, list[int]] = {"alice": [], "bob": []}
-        for i, c in enumerate(self.components):
-            if c.owner is not None:
-                modulators[c.owner].append(i)
-        for owner, indices in modulators.items():
-            if len(indices) != 1:
+        owners = [c.owner for c in self.components]
+        for owner in ("alice", "bob"):
+            if owners.count(owner) != 1:
                 raise ValueError(
                     f"loop must contain exactly one phase modulator owned by {owner}, "
-                    f"got {len(indices)}"
+                    f"got {owners.count(owner)}"
                 )
         kinds = [c.kind for c in self.components]
         for kind in (ComponentKind.ATTENUATOR, ComponentKind.DELAY_FIBER):
@@ -143,7 +141,6 @@ class LoopConfig:
                 raise ValueError(f"loop must contain exactly one {name}, got {kinds.count(kind)}")
         if not self.source_pol.is_normalized(tol=1e-9):
             raise ValueError("source_pol must be normalized")
-        object.__setattr__(self, "alice_pm_index", modulators["alice"][0])
         object.__setattr__(self, "attenuator_index", kinds.index(ComponentKind.ATTENUATOR))
         object.__setattr__(self, "delay_index", kinds.index(ComponentKind.DELAY_FIBER))
 
@@ -258,65 +255,15 @@ def fringe_coefficients(config: LoopConfig) -> FringeCoefficients:
     )
 
 
-@dataclass(frozen=True)
-class ScheduleEntry:
-    component_index: int
-    label: str
-    kind: ComponentKind
-    direction: Direction
-    t_enter: float
-    t_exit: float
+def modulator_separation(config: LoopConfig, owner: str) -> float:
+    """Time between the two pulses' transits of ``owner``'s phase modulator, in s.
 
-
-@dataclass(frozen=True)
-class TimingSchedule:
-    """Transit windows of both pulses plus the stagger check at Alice's modulator."""
-
-    entries: tuple[ScheduleEntry, ...]
-    alice_pm_separation: float
-    conflict: bool
-
-
-def timing_schedule(
-    config: LoopConfig,
-    group_index: float = DEFAULT_GROUP_INDEX,
-    gate_width: float = DEFAULT_GATE_WIDTH,
-) -> TimingSchedule:
-    """Time-of-flight schedule for the two counter-propagating pulses.
-
-    Both pulses leave the coupler at t = 0 and travel at c / group_index.
-    The delay fiber on Bob's side staggers their transits through Alice's
-    modulator; a separation below ``gate_width`` is flagged as a conflict
-    (returned, not raised, so parameter sweeps can scan bad geometries).
+    Both pulses leave the coupler at once and travel at c / DEFAULT_GROUP_INDEX,
+    so they pass the modulator |fiber before it - fiber after it| apart.
     """
-    if not (group_index > 1.0):
-        raise ValueError(f"group_index must exceed 1, got {group_index}")
-    speed = SPEED_OF_LIGHT / group_index
-    positions = []
-    s = 0.0
-    for c in config.components:
-        positions.append(s)
-        if c.kind in FIBER_KINDS:
-            s += c.length
-    total = s
-
-    entries: list[ScheduleEntry] = []
-    t_alice = {}
-    for i, c in enumerate(config.components):
-        start = positions[i]
-        end = start + (c.length if c.kind in FIBER_KINDS else 0.0)
-        cw = ScheduleEntry(i, c.label, c.kind, Direction.CW, start / speed, end / speed)
-        ccw = ScheduleEntry(i, c.label, c.kind, Direction.CCW, (total - end) / speed, (total - start) / speed)
-        entries.extend((cw, ccw))
-        if i == config.alice_pm_index:
-            t_alice[Direction.CW] = cw.t_enter
-            t_alice[Direction.CCW] = ccw.t_enter
-    separation = abs(t_alice[Direction.CW] - t_alice[Direction.CCW])
-    return TimingSchedule(
-        entries=tuple(entries),
-        alice_pm_separation=separation,
-        conflict=separation < gate_width,
-    )
+    lengths = [c.length for c in config.components]  # 0 for all but fibers
+    i = [c.owner for c in config.components].index(owner)
+    return abs(sum(lengths[:i]) - sum(lengths[i + 1 :])) * DEFAULT_GROUP_INDEX / SPEED_OF_LIGHT
 
 
 def standard_loop(

@@ -27,10 +27,11 @@ from .session import DisturbanceKind, NoiseTap
 class Entity:
     """One ring participant's module: controller, modulator, attenuator.
 
-    ``disturbance_sigma`` > 0 makes the module, whenever its entity is not
-    the session partner, inject a random phase on each pulse pass (Gaussian
-    of that width, or uniform over the full circle);
-    ``insertion_transmittance`` models its residual loss when idle.
+    Whenever its entity is not the session partner, a noisy module injects
+    a random phase on each pulse pass: a ``uniform`` module always, over the
+    full circle, and a ``gaussian`` one when ``disturbance_sigma`` > 0, of
+    that width.  ``insertion_transmittance`` models its residual loss when
+    idle.
     """
 
     id: str
@@ -160,11 +161,13 @@ def select_partner(ring: RingConfig, partner_id: str) -> LoopConfig:
 def noise_taps(ring: RingConfig, partner_id: str) -> tuple[NoiseTap, ...]:
     """Disturbance sources for a session: every noisy module except the partner's.
 
-    The one place that decides which taps are live: a quiet module gets none.
+    The one place that decides which taps are live: a quiet module, Gaussian
+    with sigma 0, gets none.  A uniform tap never reads sigma.
     """
     taps = []
     for i, entity in enumerate(ring.entities):
-        if entity.id != partner_id and entity.disturbance_sigma > 0.0:
+        live = entity.disturbance_kind is DisturbanceKind.UNIFORM or entity.disturbance_sigma > 0.0
+        if entity.id != partner_id and live:
             taps.append(
                 NoiseTap(sigma=entity.disturbance_sigma, kind=entity.disturbance_kind, tag=i)
             )

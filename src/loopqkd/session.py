@@ -29,7 +29,10 @@ cells are computed once per session and gathered.  Noise taps add their
 draws to the cell's difference, so those thresholds are computed per pulse
 (``ClickLaw.at_phase``).  Both paths, and ``expected_session``, evaluate the
 one expression in ``ClickLaw``, so a pulse gets bit-identical thresholds on
-either path.
+either path.  The cells hold the phases that reach the coupler,
+``PhaseTable.through(loop)``: a modulator that both pulses pass within a
+gate width shifts both, so its party's phases drop out (the QBER goes to
+1/2 when that party is Alice).  Transcripts record the applied phases.
 
 Transcripts are columnar: on request the engine keeps each batch's choice,
 phase, outcome and sifting arrays and returns them concatenated as one
@@ -82,9 +85,10 @@ class NoiseTap:
 
     Both counter-propagating pulses traverse the module, each pass drawing
     its own phase, so only the difference of the two draws survives at the
-    coupler.  Gaussian taps draw N(0, sigma^2) per pass; uniform taps draw
-    U[0, 2pi) per pass (the strong-disturbance limit).  A quiet module gets
-    no tap at all (``loopnet.noise_taps``).
+    coupler.  Gaussian taps draw N(0, sigma^2) per pass, and need sigma > 0;
+    uniform taps draw U[0, 2pi) per pass (the strong-disturbance limit) and
+    never read sigma.  A quiet module gets no tap at all
+    (``loopnet.noise_taps``).
     """
 
     sigma: float
@@ -92,7 +96,7 @@ class NoiseTap:
     tag: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.sigma > 0.0):
+        if self.kind is DisturbanceKind.GAUSSIAN and not (self.sigma > 0.0):
             raise ValueError(f"disturbance sigma must be > 0, got {self.sigma}")
 
 
@@ -141,7 +145,7 @@ def run_session(
     fc = fringe_coefficients(config)
     root = RngStream(params.seed)
     table = params.table
-    cell_deltas = table.cell_deltas
+    cell_deltas = table.through(config).cell_deltas
     policy = params.detectors.double_click_policy
     eve_on = params.eve.strategy is not EveStrategy.OFF
     if eve_on:

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -113,6 +114,20 @@ def test_sweep_comma_grid(tmp_path):
     assert lines[0] == "# schema loopqkd.sweep.v1"
     assert len(lines) == 5
     assert lines[2].startswith("source.mu,0.05,")
+
+
+def test_sweep_across_the_timing_conflict(tmp_path):
+    out = tmp_path / "sweep.csv"
+    code = main(
+        ["sweep", IDEAL, "--axis", "loop.delay_length", "--grid", "0,800", "--pulses", "100000", "--out", str(out)]
+    )
+    assert code == 0
+    header, *rows = out.read_text().splitlines()[1:]
+    meeting, staggered = (dict(zip(header.split(","), row.split(","))) for row in rows)
+    n = int(meeting["sifted_bits"])
+    assert n > 4000
+    assert abs(float(meeting["qber"]) - 0.5) < 3.0 * math.sqrt(0.25 / n)
+    assert float(staggered["qber"]) == 0.0
 
 
 def test_fringe_command(tmp_path, capsys):

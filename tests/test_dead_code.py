@@ -12,7 +12,6 @@ USERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 # Public names that only tests reach, each kept on purpose.
 ALLOWED_UNUSED = {
     "diattenuator": "builds the polarization-dependent-loss elements that tests put into loops",
-    "timing_schedule": "ROADMAP item 1(a) models the timing conflict it reports",
     "expected_disturbed_qber": "ROADMAP item 2 replaces it with the noise-aware oracle",
 }
 

@@ -28,9 +28,16 @@ from loopqkd.harness import (
     sweep_csv,
     transcript_csv,
 )
-from loopqkd.bb84 import EveConfig
+from loopqkd.bb84 import PHASE_CODING, EveConfig
 from loopqkd.jones import JonesOperator
-from loopqkd.loopmodel import Component, LoopConfig, fringe_coefficients, standard_loop
+from loopqkd.loopmodel import (
+    DEFAULT_GATE_WIDTH,
+    Component,
+    LoopConfig,
+    fringe_coefficients,
+    modulator_separation,
+    standard_loop,
+)
 from loopqkd.loopnet import Entity, RingConfig
 from loopqkd.quantumchannel import DetectorParams, SourceParams
 from loopqkd.session import SessionParams
@@ -732,6 +739,33 @@ def test_oracle_refuses_what_it_does_not_model():
     assert expected_for_scenario(build_scenario(eff)) == expected_for_scenario(ideal)
 
 
+def test_uniform_module_without_sigma_randomizes_key():
+    # a uniform tap never reads sigma, so the default sigma 0 still disturbs
+    sc = build_scenario(
+        {"ring": {"partner": "a", "entities": [{"id": "a"}, {"id": "b", "disturbance_kind": "uniform"}]}}
+    )
+    report, _ = run(sc, pulses=100_000)
+    s = report.stats
+    assert s.disclosed_bits > 4000
+    assert abs(s.qber - 0.5) < 3.0 * math.sqrt(0.25 / s.disclosed_bits)
+    with pytest.raises(ScenarioError, match="models no phase noise of ring modules b$"):
+        expected_for_scenario(sc)
+
+
+SHIPPED = sorted(SCENARIOS.glob("*.yaml")) + sorted((ROOT / "perfbench" / "scenarios").glob("*.yaml"))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+def test_shipped_scenarios_keep_pulses_apart_at_every_modulator(path):
+    # so PhaseTable.through keeps every phase and moves no shipped output
+    sc = load_scenario(str(path))
+    for partner in [None] if sc.ring is None else sc.ring.entity_ids():
+        loop = sc.effective_loop(partner)
+        for owner in ("alice", "bob"):
+            assert modulator_separation(loop, owner) >= DEFAULT_GATE_WIDTH, (partner, owner)
+        assert np.array_equal(PHASE_CODING.through(loop).cell_deltas, PHASE_CODING.cell_deltas)
+
+
 def test_run_is_reproducible():
     sc = load_scenario(str(SCENARIOS / "paper_ideal.yaml"))
     r1, _ = run(sc, pulses=50_000)
@@ -868,6 +902,14 @@ def test_calibrate_rejects_infeasible_targets():
         calibrate(sc, target_raw_hz=1200.0, target_qber=0.0)  # darks forbid zero
     with pytest.raises(ScenarioError, match="QBER"):
         calibrate(sc, target_raw_hz=1200.0, target_qber=0.9)
+
+
+def test_calibrate_fails_where_pulses_meet_at_alice():
+    # Alice's phase cancels, so every setting gives QBER 1/2
+    eff = copy.deepcopy(load_scenario(str(SCENARIOS / "calibration_base.yaml")).effective)
+    eff["loop"]["delay_length"] = 0.0
+    with pytest.raises(ScenarioError, match=r"QBER 0.054 is not achievable .* reaches \[0\.5, 0\.5\]$"):
+        calibrate(build_scenario(eff), target_raw_hz=1200.0, target_qber=0.054)
 
 
 def reference_bisect(f, lo, hi, target, increasing, iters=80):

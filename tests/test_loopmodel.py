@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from loopqkd import jones
 from loopqkd.jones import IDENTITY, H_POL, JonesOperator, JonesState, backward, random_unitary
 from loopqkd.loopmodel import (
+    DEFAULT_GATE_WIDTH,
     DEFAULT_GROUP_INDEX,
     SPEED_OF_LIGHT,
     Component,
@@ -15,8 +16,8 @@ from loopqkd.loopmodel import (
     LoopConfig,
     fringe_coefficients,
     loop_fold,
+    modulator_separation,
     standard_loop,
-    timing_schedule,
 )
 
 
@@ -67,8 +68,6 @@ def test_accumulate_identity_lossless():
     for path in own_paths(cfg):
         assert np.max(np.abs(path - np.eye(2))) < 1e-15
     assert math.sqrt(loop_fold(cfg).power(1.0)) == pytest.approx(1.0, abs=1e-15)
-    last_exit = max(e.t_exit for e in timing_schedule(cfg).entries)
-    assert last_exit * SPEED_OF_LIGHT / DEFAULT_GROUP_INDEX == pytest.approx(1200.0)
 
 
 def test_accumulate_db_arithmetic():
@@ -305,38 +304,25 @@ def test_fringe_coefficients_array_evaluation():
 
 def test_timing_paper_geometry_staggers_pulses():
     cfg = standard_loop(200.0, 200.0, 800.0)
-    sched = timing_schedule(cfg)
-    assert not sched.conflict
+    separation = modulator_separation(cfg, "alice")
+    assert separation >= DEFAULT_GATE_WIDTH
     expected = 800.0 * DEFAULT_GROUP_INDEX / SPEED_OF_LIGHT
-    assert sched.alice_pm_separation == pytest.approx(expected, rel=1e-12)
-    assert sched.alice_pm_separation == pytest.approx(3.92e-6, rel=1e-2)
+    assert separation == pytest.approx(expected, rel=1e-12)
+    assert separation == pytest.approx(3.92e-6, rel=1e-2)
 
 
 def test_timing_zero_delay_conflicts():
     cfg = standard_loop(200.0, 200.0, 0.0)
-    sched = timing_schedule(cfg)
-    assert sched.conflict
-    assert sched.alice_pm_separation == pytest.approx(0.0, abs=1e-15)
+    separation = modulator_separation(cfg, "alice")
+    assert separation < DEFAULT_GATE_WIDTH
+    assert separation == pytest.approx(0.0, abs=1e-15)
 
 
 def test_timing_stagger_independent_of_link_length():
-    short = timing_schedule(standard_loop(200.0, 200.0, 800.0))
-    long = timing_schedule(standard_loop(10_000.0, 10_000.0, 800.0))
-    assert not long.conflict
-    assert long.alice_pm_separation == pytest.approx(short.alice_pm_separation, rel=1e-12)
-
-
-def test_timing_rejects_bad_group_index():
-    with pytest.raises(ValueError, match="group_index"):
-        timing_schedule(standard_loop(), group_index=0.9)
-
-
-def test_timing_schedule_covers_all_components_both_ways():
-    cfg = standard_loop()
-    sched = timing_schedule(cfg)
-    assert len(sched.entries) == 2 * len(cfg.components)
-    for e in sched.entries:
-        assert e.t_exit >= e.t_enter >= 0.0
+    short = modulator_separation(standard_loop(200.0, 200.0, 800.0), "alice")
+    long = modulator_separation(standard_loop(10_000.0, 10_000.0, 800.0), "alice")
+    assert long >= DEFAULT_GATE_WIDTH
+    assert long == pytest.approx(short, rel=1e-12)
 
 
 # ---------------------------------------------------------------- PDL
@@ -404,7 +390,7 @@ def test_component_validation_messages():
 
 def test_loop_indexes_phase_modulators():
     cfg = standard_loop()
-    assert cfg.components[cfg.alice_pm_index].owner == "alice"
+    assert [c.owner for c in cfg.components].count("alice") == 1
     extra_bob = Component(ComponentKind.PHASE_MODULATOR, label="PM-bob-2", owner="bob")
     with pytest.raises(ValueError, match="exactly one phase modulator owned by bob, got 2"):
         standard_loop(extra_components=(extra_bob,))

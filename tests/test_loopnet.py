@@ -68,7 +68,9 @@ def test_partner_choice_moves_modulator_only():
     kinds_david = [c.kind for c in flat_david.components]
     kinds_fox = [c.kind for c in flat_fox.components]
     assert sorted(k.value for k in kinds_david) == sorted(k.value for k in kinds_fox)
-    assert flat_david.alice_pm_index != flat_fox.alice_pm_index
+    owners_david = [c.owner for c in flat_david.components]
+    owners_fox = [c.owner for c in flat_fox.components]
+    assert owners_david.index("alice") != owners_fox.index("alice")
     fc_david = fringe_coefficients(flat_david)
     fc_fox = fringe_coefficients(flat_fox)
     assert fc_david.cross == pytest.approx(fc_fox.cross, abs=1e-15)

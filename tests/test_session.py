@@ -7,9 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopqkd.bb84 import PHASE_CODING, EveConfig, EveStrategy, PulseRecord, sift
-from loopqkd.harness import transcript_csv
+from loopqkd.harness import build_scenario, expected_for_scenario, run, transcript_csv
 from loopqkd.jones import rotator
-from loopqkd.loopmodel import fringe_coefficients, standard_loop
+from loopqkd.loopmodel import (
+    DEFAULT_GATE_WIDTH,
+    fringe_coefficients,
+    modulator_separation,
+    standard_loop,
+)
 from loopqkd.quantumchannel import (
     ClickOutcome,
     DetectorParams,
@@ -342,3 +347,68 @@ def test_session_params_validation():
     for sigma in (-1.0, 0.0, math.nan):
         with pytest.raises(ValueError, match="disturbance sigma must be > 0"):
             NoiseTap(sigma=sigma)
+    # a uniform tap never reads sigma
+    assert NoiseTap(sigma=0.0, kind=DisturbanceKind.UNIFORM).sigma == 0.0
+
+
+# ---------------------------------------------------------------- timing at Alice's modulator
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(0.0, 2000.0),
+    st.floats(0.0, 2000.0),
+    st.one_of(st.floats(-30.0, 30.0), st.floats(-2000.0, 2000.0)),
+    st.floats(-1.0, 1.0),
+    st.floats(0.05, 1.0),
+    st.floats(0.0, 0.01),
+    st.sampled_from([p.value for p in DoubleClickPolicy]),
+)
+def test_oracle_drops_alice_phase_where_pulses_meet(
+    lower, delay, offset, angle, efficiency, dark_prob, policy
+):
+    # the upper link sets how far apart the pulses pass Alice's modulator
+    sc = build_scenario(
+        {
+            "detectors": {"efficiency": efficiency, "dark_prob": dark_prob},
+            "protocol": {"double_click_policy": policy},
+            "loop": {
+                "lower_length": lower,
+                "delay_length": delay,
+                "upper_length": max(0.0, delay + lower + offset),
+                "delay_jones": {"kind": "rotation", "angle": angle},
+            },
+        }
+    )
+    exp = expected_for_scenario(sc)
+    if modulator_separation(sc.loop, "alice") < DEFAULT_GATE_WIDTH:
+        assert abs(exp.qber - 0.5) < 1e-12
+    else:
+        # Bob's pulses are at least as far apart as Alice's, so both keep their phases
+        assert np.array_equal(PHASE_CODING.through(sc.loop).cell_deltas, PHASE_CODING.cell_deltas)
+        fc = fringe_coefficients(sc.loop)
+        assert exp == expected_session(fc, PHASE_CODING, sc.source, sc.detectors)
+
+
+@pytest.mark.parametrize(
+    "topology",
+    [
+        {"loop": {"delay_length": 0.0}},
+        {
+            "ring": {
+                "partner": "a",
+                "link_lengths": [0.0, 0.0, 800.0],
+                "entities": [{"id": "a"}, {"id": "b"}],
+            }
+        },
+    ],
+    ids=["delay_0_loop", "midpoint_ring"],
+)
+def test_pulses_meeting_at_alice_carry_no_key(topology):
+    sc = build_scenario({"seed": 20011215, **topology})
+    report, transcript = run(sc, pulses=100_000, collect_records=True)
+    s = report.stats
+    assert s.disclosed_bits > 4000
+    assert abs(s.qber - 0.5) < 3.0 * math.sqrt(0.25 / s.disclosed_bits)
+    # the transcript keeps the phases Alice applied, not the ones that reached the coupler
+    assert np.array_equal(np.unique(transcript.phi_a), np.sort(PHASE_CODING.alice_phases.ravel()))
