@@ -517,9 +517,15 @@ def sweep(
     """One run per grid value of a numeric scenario parameter.
 
     Every grid point reuses the same master seed (common random numbers), so
-    curves vary only through the swept parameter.
+    curves vary only through the swept parameter; the seed itself is
+    therefore no axis.
     """
-    available = numeric_axes(scenario.effective)
+    if axis == "seed":
+        raise ScenarioError(
+            "sweep axis 'seed' would give every grid point its own seed; a sweep shares "
+            "one master seed across its points (set it with --seed)"
+        )
+    available = [a for a in numeric_axes(scenario.effective) if a != "seed"]
     if axis not in available:
         raise ScenarioError(
             f"unknown sweep axis {axis!r}; sweepable parameters: {', '.join(available)}"
@@ -536,19 +542,8 @@ def sweep(
         except ScenarioError as exc:
             raise ScenarioError(f"sweep {axis}={value:g}: {exc}") from None
         report, _ = run(point, seed=seed, pulses=pulses)
-        s = report.stats
         rows.append(
-            {
-                "axis": axis,
-                "value": float(value),
-                "pulses": report.pulses,
-                "sifted_bits": s.sifted_bits,
-                "raw_rate_hz": s.raw_rate,
-                "qber": s.qber,
-                "qber_low": s.qber_low,
-                "qber_high": s.qber_high,
-                "digest": point.digest,
-            }
+            {"axis": axis, "value": float(value), **_stats_row(report), "digest": point.digest}
         )
     return RunReport(
         digest=scenario.digest,
@@ -701,6 +696,29 @@ def calibrate(scenario: Scenario, target_raw_hz: float, target_qber: float) -> C
 # CSV emission (schema-versioned; identical input -> identical bytes)
 # --------------------------------------------------------------------------
 
+def _table(kind: str, fields: Sequence[str], rows: Iterable[dict]) -> str:
+    """Schema line, header, and one line per row: its ``fields`` in order."""
+    lines = [f"# schema loopqkd.{kind}.{CSV_SCHEMA_VERSION}", ",".join(fields)]
+    lines += (",".join(_fmt(row[f]) for f in fields) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _stats_row(report: RunReport) -> dict:
+    """The session columns of a run's CSV row, by field name."""
+    s = report.stats
+    return {
+        "pulses": report.pulses,
+        "raw_clicks": s.raw_clicks,
+        "sifted_bits": s.sifted_bits,
+        "errors": s.errors,
+        "disclosed_bits": s.disclosed_bits,
+        "raw_rate_hz": s.raw_rate,
+        "qber": s.qber,
+        "qber_low": s.qber_low,
+        "qber_high": s.qber_high,
+    }
+
+
 _RUN_FIELDS = (
     "digest",
     "seed",
@@ -717,28 +735,9 @@ _RUN_FIELDS = (
 
 
 def run_csv(report: RunReport) -> str:
-    s = report.stats
-    lines = [
-        f"# schema loopqkd.run.{CSV_SCHEMA_VERSION}",
-        ",".join(_RUN_FIELDS),
-        ",".join(
-            _fmt(v)
-            for v in (
-                report.digest,
-                report.seed,
-                report.pulses,
-                s.raw_clicks,
-                s.sifted_bits,
-                s.errors,
-                s.disclosed_bits,
-                s.raw_rate,
-                s.qber,
-                s.qber_low,
-                s.qber_high,
-            )
-        ),
-    ]
-    return "\n".join(lines) + "\n"
+    return _table(
+        "run", _RUN_FIELDS, [{"digest": report.digest, "seed": report.seed, **_stats_row(report)}]
+    )
 
 
 _SWEEP_FIELDS = (
@@ -755,17 +754,11 @@ _SWEEP_FIELDS = (
 
 
 def sweep_csv(report: RunReport) -> str:
-    lines = [f"# schema loopqkd.sweep.{CSV_SCHEMA_VERSION}", ",".join(_SWEEP_FIELDS)]
-    for row in report.rows:
-        lines.append(",".join(_fmt(row[f]) for f in _SWEEP_FIELDS))
-    return "\n".join(lines) + "\n"
+    return _table("sweep", _SWEEP_FIELDS, report.rows)
 
 
 def fringe_csv(rows: Sequence[dict]) -> str:
-    lines = [f"# schema loopqkd.fringe.{CSV_SCHEMA_VERSION}", "delta_phi,p1,p2"]
-    for row in rows:
-        lines.append(",".join(_fmt(row[k]) for k in ("delta_phi", "p1", "p2")))
-    return "\n".join(lines) + "\n"
+    return _table("fringe", ("delta_phi", "p1", "p2"), rows)
 
 
 _TRANSCRIPT_FIELDS = (

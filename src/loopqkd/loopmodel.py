@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -45,7 +44,6 @@ class ComponentKind(str, Enum):
     FIBER = "fiber"
     DELAY_FIBER = "delay_fiber"
     PHASE_MODULATOR = "phase_modulator"
-    POL_CONTROLLER = "pol_controller"
     ATTENUATOR = "attenuator"
     PDL_ELEMENT = "pdl_element"
 
@@ -59,9 +57,8 @@ class Component:
 
     ``length`` and ``loss_db_per_km`` apply to fiber kinds, ``owner`` to
     phase modulators, ``transmittance`` (power) to the attenuator.  The
-    Jones matrix carries birefringence, controller settings, or
-    polarization-dependent loss; modulator phase shifts are applied
-    per pulse, not here.
+    Jones matrix carries birefringence or polarization-dependent loss;
+    modulator phase shifts are applied per pulse, not here.
     """
 
     kind: ComponentKind
@@ -266,6 +263,37 @@ def modulator_separation(config: LoopConfig, owner: str) -> float:
     return abs(sum(lengths[:i]) - sum(lengths[i + 1 :])) * DEFAULT_GROUP_INDEX / SPEED_OF_LIGHT
 
 
+def fiber(
+    label: str,
+    length: float,
+    loss_db_per_km: float,
+    jones: JonesOperator = IDENTITY,
+    kind: ComponentKind = ComponentKind.FIBER,
+) -> Component:
+    """A fiber of ``length`` m: a link, or with ``kind`` DELAY_FIBER the delay."""
+    return Component(kind, label=label, length=length, loss_db_per_km=loss_db_per_km, jones=jones)
+
+
+def hub(
+    delay_length: float, loss_db_per_km: float, delay_jones: JonesOperator = IDENTITY
+) -> tuple[Component, Component]:
+    """Bob's hub clockwise from the coupler: his phase modulator, then the delay fiber."""
+    return (
+        Component(ComponentKind.PHASE_MODULATOR, label="PM-bob", owner="bob"),
+        fiber("delay", delay_length, loss_db_per_km, delay_jones, ComponentKind.DELAY_FIBER),
+    )
+
+
+def partner_module(
+    transmittance: float, modulator_label: str = "PM-alice", attenuator_label: str = "attenuator"
+) -> tuple[Component, Component]:
+    """The keying partner's module: the protocol phase modulator, then the attenuator."""
+    return (
+        Component(ComponentKind.PHASE_MODULATOR, label=modulator_label, owner="alice"),
+        Component(ComponentKind.ATTENUATOR, label=attenuator_label, transmittance=transmittance),
+    )
+
+
 def standard_loop(
     upper_length: float = 200.0,
     lower_length: float = 200.0,
@@ -278,50 +306,20 @@ def standard_loop(
     upper_jones: JonesOperator = IDENTITY,
     lower_jones: JonesOperator = IDENTITY,
     delay_jones: JonesOperator = IDENTITY,
-    pc_coupler: JonesOperator = IDENTITY,
-    pc_bob: JonesOperator = IDENTITY,
-    pc_alice: JonesOperator = IDENTITY,
-    extra_components: Sequence[Component] = (),
 ) -> LoopConfig:
     """Two-party loop in clockwise order from the coupler.
 
-    Clockwise, the pulse meets Bob's controller and modulator, the delay
-    fiber, the lower link to Alice, her controller, modulator and variable
-    attenuator, then returns over the upper link.  ``extra_components``
-    (e.g. a PDL element) are appended just before the upper link.
+    Clockwise, the pulse meets Bob's modulator, the delay fiber, the lower
+    link to Alice, her modulator and variable attenuator, then returns over
+    the upper link.
     """
-    components = [
-        Component(ComponentKind.POL_CONTROLLER, label="PC-coupler", jones=pc_coupler),
-        Component(ComponentKind.PHASE_MODULATOR, label="PM-bob", owner="bob"),
-        Component(ComponentKind.POL_CONTROLLER, label="PC-bob", jones=pc_bob),
-        Component(
-            ComponentKind.DELAY_FIBER,
-            label="delay",
-            length=delay_length,
-            loss_db_per_km=loss_db_per_km,
-            jones=delay_jones,
-        ),
-        Component(
-            ComponentKind.FIBER,
-            label="lower-link",
-            length=lower_length,
-            loss_db_per_km=loss_db_per_km,
-            jones=lower_jones,
-        ),
-        Component(ComponentKind.POL_CONTROLLER, label="PC-alice", jones=pc_alice),
-        Component(ComponentKind.PHASE_MODULATOR, label="PM-alice", owner="alice"),
-        Component(ComponentKind.ATTENUATOR, label="attenuator", transmittance=attenuator_transmittance),
-        *extra_components,
-        Component(
-            ComponentKind.FIBER,
-            label="upper-link",
-            length=upper_length,
-            loss_db_per_km=loss_db_per_km,
-            jones=upper_jones,
-        ),
-    ]
     return LoopConfig(
-        components=tuple(components),
+        components=(
+            *hub(delay_length, loss_db_per_km, delay_jones),
+            fiber("lower-link", lower_length, loss_db_per_km, lower_jones),
+            *partner_module(attenuator_transmittance),
+            fiber("upper-link", upper_length, loss_db_per_km, upper_jones),
+        ),
         coupler_ratio=coupler_ratio,
         source_pol=source_pol,
     )

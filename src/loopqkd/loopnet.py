@@ -18,14 +18,14 @@ from enum import Enum
 import numpy as np
 
 from .bb84 import SessionStats
-from .jones import H_POL, IDENTITY, JonesOperator, JonesState
-from .loopmodel import Component, ComponentKind, LoopConfig
+from .jones import JonesOperator
+from .loopmodel import Component, ComponentKind, LoopConfig, fiber, hub, partner_module
 from .session import DisturbanceKind, NoiseTap
 
 
 @dataclass(frozen=True)
 class Entity:
-    """One ring participant's module: controller, modulator, attenuator.
+    """One ring participant's module: phase modulator and attenuator.
 
     Whenever its entity is not the session partner, a noisy module injects
     a random phase on each pulse pass: a ``uniform`` module always, over the
@@ -35,7 +35,6 @@ class Entity:
     """
 
     id: str
-    pc_jones: JonesOperator = IDENTITY
     attenuator_transmittance: float = 1.0
     insertion_transmittance: float = 1.0
     disturbance_sigma: float = 0.0
@@ -66,7 +65,6 @@ class RingConfig:
     delay_length: float = 800.0
     loss_db_per_km: float = 0.0
     coupler_ratio: float = 0.5
-    source_pol: JonesState = H_POL
 
     def __post_init__(self) -> None:
         if len(self.entities) < 1:
@@ -90,49 +88,23 @@ class RingConfig:
 def select_partner(ring: RingConfig, partner_id: str) -> LoopConfig:
     """Flatten the ring into an equivalent two-party loop for one session.
 
-    The selected entity's module contributes the protocol modulator and the
-    attenuator; every other module reduces to its (identity by default)
-    passive elements -- no phase, no extra attenuation beyond its insertion
-    loss.  A one-entity ring therefore flattens to exactly the standard
-    two-party loop geometry.
+    Built from the parts of ``loopmodel.standard_loop``: Bob's hub, one
+    link fiber per gap, and the selected entity's module, which contributes
+    the protocol modulator and the attenuator.  Every other module reduces
+    to its insertion loss -- no phase, no extra attenuation.  A one-entity
+    ring therefore flattens to exactly the standard two-party loop geometry.
     """
     if partner_id not in ring.entity_ids():
         raise ValueError(
             f"unknown entity id {partner_id!r}; ring has {', '.join(ring.entity_ids())}"
         )
-    components: list[Component] = [
-        Component(ComponentKind.POL_CONTROLLER, label="PC-coupler"),
-        Component(ComponentKind.PHASE_MODULATOR, label="PM-bob", owner="bob"),
-        Component(ComponentKind.POL_CONTROLLER, label="PC-bob"),
-        Component(
-            ComponentKind.DELAY_FIBER,
-            label="delay",
-            length=ring.delay_length,
-            loss_db_per_km=ring.loss_db_per_km,
-        ),
-    ]
+    loss = ring.loss_db_per_km
+    components: list[Component] = list(hub(ring.delay_length, loss))
     for i, entity in enumerate(ring.entities):
-        components.append(
-            Component(
-                ComponentKind.FIBER,
-                label=f"link-{i}",
-                length=ring.link_lengths[i],
-                loss_db_per_km=ring.loss_db_per_km,
-            )
-        )
-        components.append(
-            Component(ComponentKind.POL_CONTROLLER, label=f"PC-{entity.id}", jones=entity.pc_jones)
-        )
+        components.append(fiber(f"link-{i}", ring.link_lengths[i], loss))
         if entity.id == partner_id:
-            components.append(
-                Component(ComponentKind.PHASE_MODULATOR, label=f"PM-{entity.id}", owner="alice")
-            )
-            components.append(
-                Component(
-                    ComponentKind.ATTENUATOR,
-                    label=f"attenuator-{entity.id}",
-                    transmittance=entity.attenuator_transmittance,
-                )
+            components += partner_module(
+                entity.attenuator_transmittance, f"PM-{entity.id}", f"attenuator-{entity.id}"
             )
         elif entity.insertion_transmittance < 1.0:
             t = math.sqrt(entity.insertion_transmittance)
@@ -143,19 +115,8 @@ def select_partner(ring: RingConfig, partner_id: str) -> LoopConfig:
                     jones=JonesOperator(np.diag([t, t])),
                 )
             )
-    components.append(
-        Component(
-            ComponentKind.FIBER,
-            label=f"link-{len(ring.entities)}",
-            length=ring.link_lengths[-1],
-            loss_db_per_km=ring.loss_db_per_km,
-        )
-    )
-    return LoopConfig(
-        components=tuple(components),
-        coupler_ratio=ring.coupler_ratio,
-        source_pol=ring.source_pol,
-    )
+    components.append(fiber(f"link-{len(ring.entities)}", ring.link_lengths[-1], loss))
+    return LoopConfig(components=tuple(components), coupler_ratio=ring.coupler_ratio)
 
 
 def noise_taps(ring: RingConfig, partner_id: str) -> tuple[NoiseTap, ...]:

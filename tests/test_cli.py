@@ -116,6 +116,18 @@ def test_sweep_comma_grid(tmp_path):
     assert lines[2].startswith("source.mu,0.05,")
 
 
+def test_sweep_refuses_the_seed_axis(tmp_path, capsys):
+    # every grid point shares one master seed; a seed axis would break that
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", IDEAL, "--axis", "seed", "--grid", "1,2", "--pulses", "1000", "--out", str(out)])
+    assert code == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["sweep", IDEAL, "--axis", "nope", "--grid", "1"]) == 1
+    sweepable = capsys.readouterr().err.partition("sweepable parameters: ")[2]
+    assert "source.mu" in sweepable and "seed" not in sweepable.split(", ")
+
+
 def test_sweep_across_the_timing_conflict(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(

@@ -102,7 +102,7 @@ def test_schema_defaults_equal_constructor_defaults():
 
     ring = build_scenario({"ring": {"entities": [{"id": "a"}]}}).ring
     _assert_fields_equal(ring.entities[0], Entity("a"), Entity)
-    for name in ("delay_length", "loss_db_per_km", "coupler_ratio", "source_pol"):
+    for name in ("delay_length", "loss_db_per_km", "coupler_ratio"):
         assert getattr(ring, name) == _default(RingConfig, name), name
 
 
@@ -509,7 +509,7 @@ def test_each_component_is_checked_once(monkeypatch):
     sc = build_scenario(raw)
     expected_for_scenario(sc)
     run(sc, pulses=1000)
-    assert calls == len(sc.loop.components) == 9
+    assert calls == len(sc.loop.components) == 6
 
 
 # Digest and sha256 of the dumped effective mapping of every shipped scenario.
@@ -968,7 +968,7 @@ def test_calibrate_builds_only_the_fitted_scenario(monkeypatch):
     monkeypatch.setattr(harness, "build_scenario", counted_build)
     monkeypatch.setattr(JonesOperator, "is_diattenuator", counted_check)
     calibrate(sc, target_raw_hz=1200.0, target_qber=0.054)
-    assert (builds, checks) == (1, len(sc.loop.components)) == (1, 9)
+    assert (builds, checks) == (1, len(sc.loop.components)) == (1, 6)
 
 
 def test_calibrate_refuses_an_attacked_base_before_solving(monkeypatch):

@@ -50,6 +50,13 @@ def replace_jones(config, index, op):
     return LoopConfig(tuple(comps), config.coupler_ratio, config.source_pol)
 
 
+def loop_with(extra=(), **kwargs):
+    """``standard_loop(**kwargs)`` with ``extra`` components spliced in before the upper link."""
+    cfg = standard_loop(**kwargs)
+    *head, upper = cfg.components
+    return LoopConfig((*head, *extra, upper), cfg.coupler_ratio, cfg.source_pol)
+
+
 def probs(cfg, phi_a, phi_b=0.0):
     """(p1, p2) of a loop at modulator phases phi_a (Alice) and phi_b (Bob)."""
     return fringe_coefficients(cfg).probs(phi_a - phi_b)
@@ -126,11 +133,8 @@ loop_kwargs = st.fixed_dictionaries(
         "coupler_ratio": st.floats(1e-6, 1.0 - 1e-6),
         "attenuator_transmittance": st.floats(1e-9, 1.0),
         "source_pol": sources,
-        **dict.fromkeys(
-            ("upper_jones", "lower_jones", "delay_jones", "pc_coupler", "pc_bob", "pc_alice"),
-            unitaries,
-        ),
-        "extra_components": st.lists(pdl_elements, max_size=1).map(tuple),
+        **dict.fromkeys(("upper_jones", "lower_jones", "delay_jones"), unitaries),
+        "extra": st.lists(pdl_elements, max_size=1).map(tuple),
     }
 )
 
@@ -152,9 +156,9 @@ def whole_loop_coefficients(cfg):
 @settings(max_examples=200, deadline=None)
 @given(loop_kwargs, st.floats(1e-9, 1.0), st.floats(-math.pi, math.pi))
 def test_fold_equals_the_rebuilt_loop_bit_for_bit(kwargs, t, angle):
-    folded = loop_fold(standard_loop(**kwargs)).at(t, jones.rotation(angle))
+    folded = loop_fold(loop_with(**kwargs)).at(t, jones.rotation(angle))
     kwargs.update(attenuator_transmittance=t, delay_jones=jones.rotator(angle))
-    rebuilt = standard_loop(**kwargs)
+    rebuilt = loop_with(**kwargs)
     assert coefficients(folded) == coefficients(fringe_coefficients(rebuilt))
     assert coefficients(folded) == whole_loop_coefficients(rebuilt)
 
@@ -162,7 +166,7 @@ def test_fold_equals_the_rebuilt_loop_bit_for_bit(kwargs, t, angle):
 @settings(max_examples=100, deadline=None)
 @given(loop_kwargs, st.integers(0, 2**32 - 1), st.floats(1e-9, 1.0), unitaries)
 def test_fold_equals_the_rebuilt_loop_in_any_component_order(kwargs, order, t, delay):
-    comps = list(standard_loop(**kwargs).components)
+    comps = list(loop_with(**kwargs).components)
     comps = [comps[i] for i in np.random.default_rng(order).permutation(len(comps))]
     cfg = LoopConfig(tuple(comps), kwargs["coupler_ratio"], kwargs["source_pol"])
     comps[cfg.attenuator_index] = dataclasses.replace(comps[cfg.attenuator_index], transmittance=t)
@@ -334,7 +338,7 @@ def test_pdl_penalty_ideal():
 
 def test_pdl_penalty_loss_orthogonal_to_populated_axis():
     pdl = Component(ComponentKind.PDL_ELEMENT, label="pdl", jones=jones.diattenuator(1.0, 0.0))
-    cfg = standard_loop(extra_components=(pdl,))
+    cfg = loop_with((pdl,))
     assert fringe_coefficients(cfg).visibility == pytest.approx(1.0, abs=1e-12)
 
 
@@ -348,11 +352,7 @@ def test_pdl_penalty_matches_amplitude_chain():
                 rng.uniform(0.5, 1.0), rng.uniform(0.1, 0.5), rng.uniform(0, math.pi)
             ),
         )
-        cfg = standard_loop(
-            upper_jones=random_unitary(rng),
-            delay_jones=random_unitary(rng),
-            extra_components=(pdl,),
-        )
+        cfg = loop_with((pdl,), upper_jones=random_unitary(rng), delay_jones=random_unitary(rng))
         # oracle: explicit chains without the coupler factors
         psi = cfg.source_pol.vector
         v = psi.copy()
@@ -369,7 +369,7 @@ def test_pdl_penalty_matches_amplitude_chain():
 
 def test_pdl_penalty_zero_power_rejected():
     pdl = Component(ComponentKind.PDL_ELEMENT, label="pdl", jones=jones.diattenuator(0.0, 0.0))
-    cfg = standard_loop(extra_components=(pdl,))
+    cfg = loop_with((pdl,))
     with pytest.raises(ValueError, match="single-path power"):
         fringe_coefficients(cfg).visibility
 
@@ -393,4 +393,4 @@ def test_loop_indexes_phase_modulators():
     assert [c.owner for c in cfg.components].count("alice") == 1
     extra_bob = Component(ComponentKind.PHASE_MODULATOR, label="PM-bob-2", owner="bob")
     with pytest.raises(ValueError, match="exactly one phase modulator owned by bob, got 2"):
-        standard_loop(extra_components=(extra_bob,))
+        loop_with((extra_bob,))

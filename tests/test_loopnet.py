@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from loopqkd.bb84 import SessionStats
-from loopqkd.jones import random_unitary
 from loopqkd.loopmodel import fringe_coefficients, standard_loop
 from loopqkd.loopnet import (
     DisturbanceKind,
@@ -46,9 +45,7 @@ def test_single_entity_ring_equals_two_party_loop():
     ring_stats, _ = ring_session(ring, "alice", params)
     direct_stats, _ = run_session(two_party, params)
     assert ring_stats == direct_stats
-    fc_ring = fringe_coefficients(flat)
-    fc_direct = fringe_coefficients(two_party)
-    assert fc_ring.cross == pytest.approx(fc_direct.cross, abs=1e-15)
+    assert fringe_coefficients(flat) == fringe_coefficients(two_party)
 
 
 def test_each_partner_sees_ideal_interference():
@@ -94,11 +91,11 @@ def test_ring_validation():
 
 def test_entity_order_permutation_preserves_fringe():
     rng = np.random.default_rng(73)
-    pcs = {n: random_unitary(rng) for n in ("alice", "david", "fox", "george")}
-    ring_a = four_party_ring(**{n: {"pc_jones": pcs[n]} for n in pcs})
+    losses = {n: rng.uniform(0.5, 1.0) for n in ("alice", "david", "fox", "george")}
+    ring_a = four_party_ring(**{n: {"insertion_transmittance": losses[n]} for n in losses})
     names_b = ("david", "alice", "george", "fox")
     ring_b = RingConfig(
-        entities=tuple(Entity(id=n, pc_jones=pcs[n]) for n in names_b),
+        entities=tuple(Entity(id=n, insertion_transmittance=losses[n]) for n in names_b),
         link_lengths=(100.0,) * 5,
         delay_length=800.0,
     )
