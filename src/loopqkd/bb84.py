@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .loopmodel import DEFAULT_GATE_WIDTH, LoopConfig, modulator_separation
-from .quantumchannel import ClickOutcome, RngStream
+from .quantumchannel import ClickOutcome
 
 HALF_PI = math.pi / 2.0
 
@@ -112,8 +112,9 @@ class Transcript:
 
     ``outcome`` is the gate outcome code before the double-click policy
     (0 none, 1 d1, 2 d2, 3 both, the order of ``ClickOutcome``).
-    ``decoded`` is Bob's bit after the policy, detector 1 -> 0 and
-    detector 2 -> 1 (flipped under ``swap_detector_bits``); it is
+    ``decoded`` is Bob's bit, the outcome's entry in the policy's
+    ``quantumchannel.DECODE`` row with any coin tossed (detector 1 -> 0,
+    detector 2 -> 1; flipped under ``swap_detector_bits``); it is
     meaningful only where ``sifted``.
     """
 
@@ -199,58 +200,22 @@ def wilson_interval(k: int, n: int, z: float = Z95) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SiftResult:
-    alice_key: np.ndarray
-    bob_key: np.ndarray
     stats: SessionStats
 
 
-def sift(
-    records: Iterable[PulseRecord],
-    rep_rate: float,
-    disclosed_fraction: float = 1.0,
-    rng: Optional[RngStream] = None,
-) -> SiftResult:
-    """Basis reconciliation: keep single-click, matched-basis pulses.
-
-    Returns both parties' sifted keys (equal length) and the session
-    statistics.  The error count and QBER come from the disclosed subset:
-    the full sifted string by default, or a random fraction of it when
-    ``disclosed_fraction`` < 1 (requires ``rng``), mimicking the usual
-    practice of sacrificing a sample of the key.
-    """
-    if not (0.0 < disclosed_fraction <= 1.0):
-        raise ValueError(f"disclosed_fraction must be in (0, 1], got {disclosed_fraction}")
-    records = list(records)
-    alice_bits = []
-    bob_bits = []
-    raw_clicks = 0
+def sift(records: Iterable[PulseRecord], rep_rate: float) -> SiftResult:
+    """Basis reconciliation, row by row: the reference recount of a
+    transcript.  Counts the clicks, the pulses whose record says they were
+    sifted, and the errors among those; every sifted bit is disclosed."""
+    pulses = raw_clicks = sifted_bits = errors = 0
     for r in records:
-        if r.outcome is not ClickOutcome.NONE:
-            raw_clicks += 1
+        pulses += 1
+        raw_clicks += r.outcome is not ClickOutcome.NONE
         if r.sifted:
             if r.decoded_bit is None:
                 raise ValueError(f"record {r.index} is sifted but carries no decoded bit")
-            alice_bits.append(r.alice_bit)
-            bob_bits.append(r.decoded_bit)
-    alice_key = np.array(alice_bits, dtype=np.int8)
-    bob_key = np.array(bob_bits, dtype=np.int8)
-    mismatches = alice_key != bob_key
-    if disclosed_fraction < 1.0:
-        if rng is None:
-            raise ValueError("disclosed_fraction < 1 requires an rng for the subset draw")
-        mask = rng.generator.random(len(alice_key)) < disclosed_fraction
-        disclosed = int(np.count_nonzero(mask))
-        errors = int(np.count_nonzero(mismatches & mask))
-    else:
-        disclosed = len(alice_key)
-        errors = int(np.count_nonzero(mismatches))
-    stats = SessionStats.from_counts(
-        pulses_sent=len(records),
-        raw_clicks=raw_clicks,
-        sifted_bits=len(alice_key),
-        errors=errors,
-        disclosed_bits=disclosed,
-        rep_rate=rep_rate,
+            sifted_bits += 1
+            errors += int(r.decoded_bit != r.alice_bit)
+    return SiftResult(
+        SessionStats.from_counts(pulses, raw_clicks, sifted_bits, errors, sifted_bits, rep_rate)
     )
-    return SiftResult(alice_key=alice_key, bob_key=bob_key, stats=stats)
-

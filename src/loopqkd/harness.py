@@ -388,11 +388,28 @@ def build_scenario(raw: Any) -> Scenario:
     )
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that refuses a repeated mapping key instead of
+    keeping its last value."""
+
+    def construct_mapping(self, node: yaml.MappingNode, deep: bool = False) -> dict:
+        seen: list = []  # a list, so an unhashable key reaches the base class's error
+        for key_node, _ in node.value:
+            if key_node.tag != "tag:yaml.org,2002:merge":  # explicit keys override merged ones
+                key = self.construct_object(key_node, deep=deep)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"duplicate key {key!r}", key_node.start_mark
+                    )
+                seen.append(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario file; errors carry line/field diagnostics."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            raw = yaml.safe_load(f)
+            raw = yaml.load(f, Loader=_UniqueKeyLoader)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from None
     except yaml.YAMLError as exc:

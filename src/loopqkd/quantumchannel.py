@@ -36,6 +36,26 @@ class ClickOutcome(Enum):
     BOTH = "both"
 
 
+# Bob's bit per outcome code none|d1|d2|both: detector 1 -> 0, detector 2 -> 1,
+# -1 where the policy drops the pulse, COIN where a fair coin decides.  The
+# session engine gathers from it and ``expected_session`` reads its weights.
+COIN = 2
+DECODE = {
+    DoubleClickPolicy.DISCARD: np.array([-1, 0, 1, -1], dtype=np.int8),
+    DoubleClickPolicy.RANDOM_ASSIGN: np.array([-1, 0, 1, COIN], dtype=np.int8),
+}
+
+
+def _weights(decode: np.ndarray) -> tuple[list[float], tuple[list[float], list[float]]]:
+    """Over the clicks d1, d2, both: P(Bob keeps a bit), and P(his bit is
+    wrong) when Alice sent 0 and when she sent 1."""
+    p = [(0.5, 0.5) if b == COIN else (float(b == 0), float(b == 1)) for b in decode[1:].tolist()]
+    return [p0 + p1 for p0, p1 in p], ([p1 for _, p1 in p], [p0 for p0, _ in p])
+
+
+_WEIGHTS = {policy: _weights(decode) for policy, decode in DECODE.items()}
+
+
 @dataclass(frozen=True)
 class SourceParams:
     """Pulsed weak-coherent source.
@@ -181,14 +201,14 @@ def expected_session(
     ``fc`` is the loop's fringe and ``phase_table`` the protocol's phase
     coding (a ``bb84.PhaseTable``).  The cells' click law is evaluated on
     ``phase_table.cell_deltas``, the same table whose thresholds the session
-    engine samples from.  Averages over uniform
-    independent bit and basis choices, applies the double-click policy, and
-    counts an error when a sifted click decodes to the wrong bit
-    (detector 1 -> 0, detector 2 -> 1).
+    engine samples from.  Averages over uniform independent bit and basis
+    choices and decodes each click through the policy's ``DECODE`` row: a
+    matched-basis click is sifted with the probability that it yields a
+    bit, and is an error with the probability that the bit is wrong.
     """
     law = ClickLaw.at_phase(phase_table.cell_deltas, fc, src, det)
     q_d1, q_d2, q_both = law.q_d1.tolist(), law.q_d2.tolist(), law.q_both.tolist()
-    policy = det.double_click_policy
+    kept, wrong_given_bit = _WEIGHTS[det.double_click_policy]
     sifted = 0.0
     errors = 0.0
     clicks = 0.0
@@ -200,13 +220,9 @@ def expected_session(
                 clicks += w * (q_d1[c] + q_d2[c] + q_both[c])
                 if a_basis != b_basis:
                     continue
-                wrong = q_d2[c] if a_bit == 0 else q_d1[c]
-                if policy is DoubleClickPolicy.DISCARD:
-                    sifted += w * (q_d1[c] + q_d2[c])
-                    errors += w * wrong
-                else:
-                    sifted += w * (q_d1[c] + q_d2[c] + q_both[c])
-                    errors += w * (wrong + 0.5 * q_both[c])
+                wrong = wrong_given_bit[a_bit]
+                sifted += w * (q_d1[c] * kept[0] + q_d2[c] * kept[1] + q_both[c] * kept[2])
+                errors += w * (q_d1[c] * wrong[0] + q_d2[c] * wrong[1] + q_both[c] * wrong[2])
     return ExpectedSession(
         sifted_prob=sifted,
         error_prob=errors,

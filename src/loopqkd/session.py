@@ -10,7 +10,8 @@ purpose              tag      draw order within a batch (arrays of batch size)
 ===================  =======  =================================================
 protocol choices     1        alice bits, alice bases, bob bases
 eavesdropper         2        attack coins, eve bases, eve outcome coins
-detection            3        outcome coins [, double-click assignment coins]
+detection            3        outcome coins [, assign coins: only when the
+                              policy's ``DECODE`` row holds a coin]
 disclosure subset    4        subset coins (only when disclosed_fraction < 1)
 ring disturbance     16 + i   cw-pass phases, ccw-pass phases for noisy entity i
 ===================  =======  =================================================
@@ -57,13 +58,7 @@ from .bb84 import (
     Transcript,
 )
 from .loopmodel import LoopConfig, fringe_coefficients
-from .quantumchannel import (
-    ClickLaw,
-    DetectorParams,
-    DoubleClickPolicy,
-    RngStream,
-    SourceParams,
-)
+from .quantumchannel import COIN, DECODE, ClickLaw, DetectorParams, RngStream, SourceParams
 
 PURPOSE_CHOICES = 1
 PURPOSE_EVE = 2
@@ -146,7 +141,8 @@ def run_session(
     root = RngStream(params.seed)
     table = params.table
     cell_deltas = table.through(config).cell_deltas
-    policy = params.detectors.double_click_policy
+    decode = DECODE[params.detectors.double_click_policy]
+    coin_toss = COIN in decode
     eve_on = params.eve.strategy is not EveStrategy.OFF
     if eve_on:
         eve_p_zero = np.cos(cell_deltas / 2.0) ** 2
@@ -205,16 +201,13 @@ def run_session(
             + (u >= t_d1).astype(np.int8)
             + (u >= t_d2).astype(np.int8)
         )
-        if policy is DoubleClickPolicy.RANDOM_ASSIGN:
-            assign = g_detect.random(n)
-            code = np.where(raw_code == 3, np.where(assign < 0.5, 1, 2).astype(np.int8), raw_code)
-        else:
-            code = np.where(raw_code == 3, 0, raw_code).astype(np.int8)
+        decoded = np.take(decode, raw_code.astype(np.intp))
+        if coin_toss:
+            coin = g_detect.random(n)
+            tossed = decoded == COIN
+            decoded[tossed] = coin[tossed] >= 0.5
 
-        single = (code == 1) | (code == 2)
-        matched = alice_bases == bob_bases
-        sifted = single & matched
-        decoded = code - 1  # valid where single
+        sifted = (decoded >= 0) & (alice_bases == bob_bases)
         if params.swap_detector_bits:
             decoded = 1 - decoded
         wrong = sifted & (decoded != alice_bits)

@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from loopqkd import harness
-from loopqkd.cli import main
+from loopqkd.cli import _parse_grid, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 IDEAL = str(SCENARIOS / "paper_ideal.yaml")
@@ -114,6 +114,17 @@ def test_sweep_comma_grid(tmp_path):
     assert lines[0] == "# schema loopqkd.sweep.v1"
     assert len(lines) == 5
     assert lines[2].startswith("source.mu,0.05,")
+
+
+def test_grid_start_stop_count_includes_stop():
+    assert _parse_grid("0:1:3") == [0.0, 0.5, 1.0]
+
+
+def test_sweep_refuses_an_empty_grid(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", IDEAL, "--axis", "source.mu", "--grid", ",", "--out", str(out)]) == 1
+    assert "sweep grid is empty" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_refuses_the_seed_axis(tmp_path, capsys):

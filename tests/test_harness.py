@@ -130,6 +130,21 @@ def test_unknown_keys_rejected_with_path(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize(
+    "text, key, line",
+    [
+        ("source: {mu: 0.1, mu: 0.5}\n", "mu", 1),
+        ("loop: {upper_length: 100}\nsource: {mu: 0.2}\nloop: {lower_length: 100}\n", "loop", 3),
+    ],
+    ids=["leaf", "section"],
+)
+def test_duplicate_keys_rejected_with_line(tmp_path, text, key, line):
+    # a plain YAML load keeps the last of two equal keys and runs on it
+    path = write_scenario(tmp_path, text)
+    with pytest.raises(ScenarioError, match=rf"duplicate key '{key}'\n.*line {line},"):
+        load_scenario(path)
+
+
 def test_parse_error_carries_location(tmp_path):
     path = write_scenario(tmp_path, "source: {mu: 0.1\nprotocol: [}\n")
     with pytest.raises(ScenarioError, match="line"):
@@ -857,6 +872,12 @@ def test_sweep_names_the_grid_point_of_an_invalid_ring():
         sweep(sc, "ring.coupler_ratio", [0.5, 1.5], pulses=1000)
 
 
+def test_sweep_rounds_an_integer_axis():
+    sc = load_scenario(str(SCENARIOS / "paper_ideal.yaml"))
+    report = sweep(sc, "protocol.pulses", [1000.6])
+    assert report.rows[0]["pulses"] == 1001
+
+
 def test_sweep_rows_carry_per_point_digests():
     sc = load_scenario(str(SCENARIOS / "paper_ideal.yaml"))
     report = sweep(sc, "source.mu", [0.05, 0.1], pulses=10_000)
@@ -902,6 +923,16 @@ def test_calibrate_rejects_infeasible_targets():
         calibrate(sc, target_raw_hz=1200.0, target_qber=0.0)  # darks forbid zero
     with pytest.raises(ScenarioError, match="QBER"):
         calibrate(sc, target_raw_hz=1200.0, target_qber=0.9)
+    with pytest.raises(ScenarioError, match=re.escape("must be in [0, 0.5), got 0.5")):
+        calibrate(sc, target_raw_hz=1200.0, target_qber=0.5)
+
+
+def test_calibrate_reaches_up_to_visibility_zero():
+    # the QBER ceiling is taken at a rotation of pi/4, where the visibility is 0
+    sc = load_scenario(str(SCENARIOS / "calibration_base.yaml"))
+    result = calibrate(sc, target_raw_hz=1200.0, target_qber=0.45)
+    assert result.expected_qber == pytest.approx(0.45, rel=1e-6)
+    assert result.visibility == pytest.approx(0.0995, abs=1e-4)
 
 
 def test_calibrate_fails_where_pulses_meet_at_alice():

@@ -1,5 +1,7 @@
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from loopqkd.bb84 import PHASE_CODING
 from loopqkd.jones import rotator
 from loopqkd.loopmodel import fringe_coefficients, standard_loop
 from loopqkd.quantumchannel import (
+    DECODE,
     ClickLaw,
     DetectorParams,
     DoubleClickPolicy,
@@ -226,3 +229,15 @@ def test_expected_session_random_assign_counts_double_clicks():
     e_assign = expected_session(fringe_coefficients(cfg), PHASE_CODING, src, det_assign)
     assert e_assign.sifted_prob > e_discard.sifted_prob
     assert e_assign.qber > e_discard.qber  # random halves of double clicks are errors
+
+
+def test_only_the_decode_table_names_a_policy():
+    # the engine and the oracle read DECODE; a branch on a policy member
+    # anywhere else would be a second implementation of the decoding
+    package = Path(__file__).resolve().parent.parent / "src" / "loopqkd"
+    named = {
+        path.name: len(re.findall(r"DoubleClickPolicy\.[A-Z]", path.read_text(encoding="utf-8")))
+        for path in sorted(package.glob("*.py"))
+    }
+    # one key per DECODE row, and DetectorParams's default
+    assert {name: n for name, n in named.items() if n} == {"quantumchannel.py": len(DECODE) + 1}
