@@ -56,19 +56,28 @@ class PhaseTable:
         ``alice_phases[alice_basis, alice_bit] - bob_phases[bob_basis]``."""
         return (self.alice_phases.reshape(4, 1) - self.bob_phases.reshape(1, 2)).reshape(8)
 
-    def through(self, loop: LoopConfig) -> "PhaseTable":
-        """The phases that reach the coupler over ``loop``.
+    @property
+    def ideal_zero_prob(self) -> np.ndarray:
+        """cos^2(cell_deltas / 2), the chance of bit 0 on an ideal fringe: Eve's
+        measurement, in the session engine and in the oracle."""
+        return np.cos(self.cell_deltas / 2.0) ** 2
 
-        A party's phase shifts one pulse alone only if the two pulses pass
-        its modulator at least ``DEFAULT_GATE_WIDTH`` apart.  Closer than
-        that, both pulses take it and it cancels: the party's phases become
-        0.  The 0/1 factor is exact, so a separated loop keeps every phase.
+    def through(self, loop: LoopConfig, period: float) -> "PhaseTable":
+        """The phases that reach the coupler over ``loop`` for pulses ``period`` s apart.
+
+        A party's gate shifts one half of a pulse alone only if no other
+        half passes its modulator within ``DEFAULT_GATE_WIDTH``.  A pulse's
+        halves pass it the modulator separation apart, and later pulses
+        follow at multiples of the period, so the separation must be a gate
+        width from every such multiple.  Closer, the party's phase codes no
+        key, and its phases become 0.  The 0/1 factor is exact, so a
+        separated loop keeps every phase.
         """
         alice, bob = (
-            float(modulator_separation(loop, owner) >= DEFAULT_GATE_WIDTH)
+            abs(math.remainder(modulator_separation(loop, owner), period)) >= DEFAULT_GATE_WIDTH
             for owner in ("alice", "bob")
         )
-        return PhaseTable(self.alice_phases * alice, self.bob_phases * bob)
+        return PhaseTable(self.alice_phases * float(alice), self.bob_phases * float(bob))
 
 
 PHASE_CODING = PhaseTable()

@@ -105,10 +105,16 @@ def _cmd_run(args: argparse.Namespace, partner: str | None = None) -> None:
             harness.transcript_csv(transcript, f)
         _status(f"transcript: {len(transcript)} pulses -> {args.transcript}")
     s = report.stats
+    expected = harness.expected_for_scenario(scenario, partner)
+    z_sifted, z_qber = (
+        "n/a" if z is None else f"{z:+.2f}" for z in harness.oracle_z_scores(s, expected)
+    )
     _status(
         f"scenario {report.digest} seed {report.seed}: {report.pulses} pulses, "
         f"raw rate {s.raw_rate:.6g} Hz, QBER {s.qber:.6g} "
-        f"[{s.qber_low:.6g}, {s.qber_high:.6g}] ({report.wall_clock:.2f} s)"
+        f"[{s.qber_low:.6g}, {s.qber_high:.6g}] ({report.wall_clock:.2f} s); "
+        f"oracle sifted probability {expected.sifted_prob:.6g} (z {z_sifted}), "
+        f"QBER {expected.qber:.6g} (z {z_qber})"
     )
 
 

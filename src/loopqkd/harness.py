@@ -35,7 +35,7 @@ from .loopmodel import LoopConfig, fringe_coefficients, loop_fold, standard_loop
 from .loopnet import DisturbanceKind, Entity, RingConfig, noise_taps, select_partner
 from .quantumchannel import ClickOutcome, DetectorParams, DoubleClickPolicy, SourceParams
 from .quantumchannel import ExpectedSession, expected_session
-from .session import SessionParams, run_session
+from .session import SessionParams, run_session, tap_quadrature
 
 
 class ScenarioError(ValueError):
@@ -316,7 +316,9 @@ def _construct(eff: dict) -> tuple[SessionParams, LoopConfig | None, RingConfig 
 
     Each object checks itself when it is built.  A ring is also flattened
     once for its first entity, because only the flattened loop checks the
-    ring's delay, loss and coupler.
+    ring's delay, loss and coupler.  After those range checks, a key set
+    where the model never reads it is refused: an attacked fraction without
+    an eavesdropper, or a sigma on a uniform module.
     """
     protocol, eve = eff["protocol"], eff["eve"]
     params = SessionParams(
@@ -330,6 +332,11 @@ def _construct(eff: dict) -> tuple[SessionParams, LoopConfig | None, RingConfig 
         eve=EveConfig(EveStrategy(eve["strategy"]), eve["fraction"]),
         disclosed_fraction=protocol["disclosed_fraction"],
     )
+    if params.eve.strategy is EveStrategy.OFF and params.eve.fraction > 0.0:
+        raise ValueError(
+            f"eve.fraction {params.eve.fraction:g} has no effect: "
+            "eve.strategy is off, so no pulse is attacked"
+        )
     if "loop" in eff:
         loop = eff["loop"]
         # the geometry (every float field) goes in by keyword
@@ -344,6 +351,12 @@ def _construct(eff: dict) -> tuple[SessionParams, LoopConfig | None, RingConfig 
         Entity(**{**e, "disturbance_kind": DisturbanceKind(e["disturbance_kind"])})
         for e in ring["entities"]
     )
+    for i, entity in enumerate(entities):
+        if entity.disturbance_kind is DisturbanceKind.UNIFORM and entity.disturbance_sigma > 0.0:
+            raise ValueError(
+                f"ring.entities[{i}].disturbance_sigma {entity.disturbance_sigma:g} has no "
+                "effect: a uniform module draws its phase over the whole circle"
+            )
     ring_cfg = RingConfig(
         **{**ring, "entities": entities, "link_lengths": tuple(ring["link_lengths"])}
     )
@@ -468,24 +481,36 @@ def run(
     return report, transcript
 
 
-def _require_closed_form(scenario: Scenario, chosen: str | None) -> None:
-    """Fail closed where ``expected_session`` models nothing: Eve, or ring phase noise."""
-    eve = scenario.eve
-    if eve.strategy is not EveStrategy.OFF and eve.fraction > 0.0:
-        raise ScenarioError(f"the oracle models no eavesdropper (eve.fraction {eve.fraction})")
-    taps = () if chosen is None else noise_taps(scenario.ring, chosen)
-    if taps:
-        noisy = ", ".join(scenario.ring.entities[tap.tag].id for tap in taps)
-        raise ScenarioError(f"the oracle models no phase noise of ring modules {noisy}")
-
-
-def expected_for_scenario(scenario: Scenario, partner: str | None = None):
-    """Closed-form session expectation; ``ScenarioError`` where it models nothing."""
+def expected_for_scenario(scenario: Scenario, partner: str | None = None) -> ExpectedSession:
+    """Closed-form expectation of the session ``run`` samples: the loop,
+    the pulse period, Eve's fraction and the partner's live noise taps."""
     chosen = scenario.resolve_partner(partner)
-    _require_closed_form(scenario, chosen)
     loop = scenario.effective_loop(chosen)
-    table = PHASE_CODING.through(loop)
-    return expected_session(fringe_coefficients(loop), table, scenario.source, scenario.detectors)
+    taps = () if chosen is None else noise_taps(scenario.ring, chosen)
+    return expected_session(
+        fringe_coefficients(loop),
+        PHASE_CODING.through(loop, 1.0 / scenario.source.rep_rate),
+        scenario.source,
+        scenario.detectors,
+        scenario.eve.fraction,
+        tap_quadrature(taps),
+    )
+
+
+def oracle_z_scores(
+    stats: SessionStats, expected: ExpectedSession
+) -> tuple[float | None, float | None]:
+    """Binomial z-scores of a session's sifted bits over its pulses and of
+    its errors over its disclosed bits; None where a variance is 0 or nan."""
+
+    def z(k: int, n: int, p: float) -> float | None:
+        variance = n * p * (1.0 - p)
+        return (k - n * p) / math.sqrt(variance) if variance > 0.0 else None
+
+    return (
+        z(stats.sifted_bits, stats.pulses_sent, expected.sifted_prob),
+        z(stats.errors, stats.disclosed_bits, expected.qber),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -546,6 +571,11 @@ def sweep(
     if axis not in available:
         raise ScenarioError(
             f"unknown sweep axis {axis!r}; sweepable parameters: {', '.join(available)}"
+        )
+    if axis == "protocol.pulses" and pulses is not None:
+        raise ScenarioError(
+            f"sweep axis 'protocol.pulses' is overridden by --pulses {pulses} at every grid "
+            "point; drop --pulses to sweep the pulse count"
         )
     if len(grid) == 0:
         raise ScenarioError("sweep grid is empty")
@@ -633,24 +663,26 @@ def calibrate(scenario: Scenario, target_raw_hz: float, target_qber: float) -> C
     the fitted loop's, cos(2 * angle) only on a polarization-neutral base.
     Each evaluation applies the two settings to a ``loopmodel.loop_fold``
     and a ``PhaseTable.through`` made once; only the fitted scenario is
-    built, and checked, by ``build_scenario``.  A base with Eve is refused
-    before any solve, and a base whose pulses meet at Alice's modulator
-    fails as "not achievable": its QBER floor is 1/2.
+    built, and checked, by ``build_scenario``.  An eavesdropper on the
+    base stays in every evaluation and raises the QBER floor, and a base
+    whose pulses meet at Alice's modulator fails as "not achievable": its
+    QBER floor is 1/2.
     """
     if scenario.ring is not None:
         raise ScenarioError("calibrate expects a two-party loop scenario")
-    _require_closed_form(scenario, None)
     if target_raw_hz <= 0.0:
         raise ScenarioError(f"target raw rate must be > 0, got {target_raw_hz:g}")
     if not (0.0 <= target_qber < 0.5):
         raise ScenarioError(f"target QBER must be in [0, 0.5), got {target_qber:g}")
 
     fold = loop_fold(scenario.loop)
-    table = PHASE_CODING.through(scenario.loop)
+    table = PHASE_CODING.through(scenario.loop, 1.0 / scenario.source.rep_rate)
 
     def expect(transmittance: float, angle: float) -> ExpectedSession:
         fc = fold.at(transmittance, jones.rotation(angle))
-        return expected_session(fc, table, scenario.source, scenario.detectors)
+        return expected_session(
+            fc, table, scenario.source, scenario.detectors, scenario.eve.fraction
+        )
 
     angle_sol = 0.0
     t_floor = 1e-9

@@ -16,7 +16,8 @@ from the cross port and carries Bob's.
 Timing: both pulses leave the coupler together, so they pass a modulator
 |fiber before it - fiber after it| apart (``modulator_separation``).  The
 delay fiber on Bob's side keeps them apart at Alice's modulator.  Closer
-than a gate width, a modulator shifts both pulses and its phase cancels
+than a gate width, to each other or to the pulses that follow a multiple
+of the pulse period later, a modulator shifts both and its phase cancels
 at the coupler.
 """
 
@@ -35,8 +36,8 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, vacuum
 # Silica fiber near 830 nm; used for pulse time-of-flight.
 DEFAULT_GROUP_INDEX = 1.468
 
-# Modulators are gated: a modulator shifts one pulse alone only if the two
-# pulses pass it at least this far apart (``bb84.PhaseTable.through``).
+# Modulators are gated: a modulator shifts one pulse alone only if no other
+# pulse passes it within this time (``bb84.PhaseTable.through``).
 DEFAULT_GATE_WIDTH = 100e-9  # s
 
 

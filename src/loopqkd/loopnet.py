@@ -162,14 +162,3 @@ def detect_disturbance(
         else DisturbanceVerdict.CLEAN
     )
 
-
-def expected_disturbed_qber(sigma: float, kind: DisturbanceKind = DisturbanceKind.GAUSSIAN) -> float:
-    """Expected error rate induced by one noisy module, ideal optics, no darks.
-
-    Each pass draws independently, so the differential phase has variance
-    2 sigma^2 and E[cos(delta)] = exp(-sigma^2): the error rate is
-    (1 - exp(-sigma^2)) / 2, saturating at 1/2 for uniform phase noise.
-    """
-    if kind is DisturbanceKind.UNIFORM:
-        return 0.5
-    return 0.5 * (1.0 - math.exp(-sigma * sigma))

@@ -190,24 +190,53 @@ class ExpectedSession:
     qber: float
 
 
+def _intercept_resend(p_zero: np.ndarray, fraction: float) -> np.ndarray:
+    """8x8 transition from Alice's cell to the cell that reaches Bob, as the
+    engine draws it: on ``fraction`` of the pulses Eve measures in a random
+    basis, reads bit 0 with ``p_zero``, and re-prepares what she read."""
+    cell = np.arange(8)
+    bob = cell % 2
+    transition = np.diag(np.full(8, 1.0 - fraction))
+    for eve in (0, 1):
+        p = 0.5 * fraction * p_zero[cell - bob + eve]
+        transition[cell, eve * 4 + bob] += p
+        transition[cell, eve * 4 + 2 + bob] += 0.5 * fraction - p
+    return transition
+
+
 def expected_session(
     fc: FringeCoefficients,
     phase_table,
     src: SourceParams,
     det: DetectorParams,
+    eve_fraction: float = 0.0,
+    noise: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ExpectedSession:
     """Exact session expectations by enumerating the 8 equally likely choice cells.
 
     ``fc`` is the loop's fringe and ``phase_table`` the protocol's phase
     coding (a ``bb84.PhaseTable``).  The cells' click law is evaluated on
     ``phase_table.cell_deltas``, the same table whose thresholds the session
-    engine samples from.  Averages over uniform independent bit and basis
-    choices and decodes each click through the policy's ``DECODE`` row: a
-    matched-basis click is sifted with the probability that it yields a
-    bit, and is an error with the probability that the bit is wrong.
+    engine samples from; ``noise``, the ring taps' phase nodes and weights
+    (``session.tap_quadrature``), averages it, and Eve's attack on
+    ``eve_fraction`` of the pulses mixes it across the cells.  Averages over
+    uniform independent bit and basis choices and decodes each click through
+    the policy's ``DECODE`` row: a matched-basis click is sifted with the
+    probability that it yields a bit, and is an error with the probability
+    that the bit is wrong.
     """
-    law = ClickLaw.at_phase(phase_table.cell_deltas, fc, src, det)
-    q_d1, q_d2, q_both = law.q_d1.tolist(), law.q_d2.tolist(), law.q_both.tolist()
+    deltas = phase_table.cell_deltas
+    if noise is None:
+        law = ClickLaw.at_phase(deltas, fc, src, det)
+        q = law.q_d1, law.q_d2, law.q_both
+    else:
+        nodes, weights = noise
+        law = ClickLaw.at_phase(deltas[:, np.newaxis] + nodes, fc, src, det)
+        q = law.q_d1 @ weights, law.q_d2 @ weights, law.q_both @ weights
+    if eve_fraction > 0.0:
+        attack = _intercept_resend(phase_table.ideal_zero_prob, eve_fraction)
+        q = tuple(attack @ outcome for outcome in q)
+    q_d1, q_d2, q_both = (outcome.tolist() for outcome in q)
     kept, wrong_given_bit = _WEIGHTS[det.double_click_policy]
     sifted = 0.0
     errors = 0.0

@@ -23,17 +23,22 @@ its batch index (pulse // batch_size) and offset (pulse % batch_size).
 Click sampling: each pulse draws one detection uniform and lands in the
 outcome none|d1|d2|both given by how many of three cumulative thresholds
 it passes.  Every step reads ``PhaseTable.cell_deltas`` through one cell
-index per pulse: Eve's bit is a gather from cos^2(delta / 2) of the 8 cells
-(her basis in place of Bob's), her attack moves a pulse to the cell of her
-re-prepared (basis, bit), and without a noise tap the thresholds of the 8
-cells are computed once per session and gathered.  Noise taps add their
-draws to the cell's difference, so those thresholds are computed per pulse
-(``ClickLaw.at_phase``).  Both paths, and ``expected_session``, evaluate the
-one expression in ``ClickLaw``, so a pulse gets bit-identical thresholds on
-either path.  The cells hold the phases that reach the coupler,
-``PhaseTable.through(loop)``: a modulator that both pulses pass within a
-gate width shifts both, so its party's phases drop out (the QBER goes to
-1/2 when that party is Alice).  Transcripts record the applied phases.
+index per pulse: Eve's bit is a gather from ``PhaseTable.ideal_zero_prob``,
+cos^2(delta / 2) of the 8 cells (her basis in place of Bob's), her attack
+moves a pulse to the cell of her re-prepared (basis, bit), and without a
+noise tap the thresholds of the 8 cells are computed once per session and
+gathered.  Noise taps add their draws to the cell's difference, so those
+thresholds are computed per pulse (``ClickLaw.at_phase``).  Both paths,
+and ``expected_session``, evaluate the one expression in ``ClickLaw``, so a
+pulse gets bit-identical thresholds on either path.  The oracle takes the
+rest in expectation from the same inputs: Eve as an 8x8 cell transition
+built from ``ideal_zero_prob``, and the taps as each cell's law averaged
+over their differential phase (``tap_quadrature``).  The cells hold the
+phases that reach the coupler, ``PhaseTable.through(loop, period)``: a
+modulator whose gate also meets another pass, of the same pulse or of one
+a multiple of the pulse period later, shifts both, so its party's phases
+drop out (the QBER goes to 1/2 when that party is Alice).  Transcripts
+record the applied phases.
 
 Transcripts are columnar: on request the engine keeps each batch's choice,
 phase, outcome and sifting arrays and returns them concatenated as one
@@ -95,6 +100,27 @@ class NoiseTap:
             raise ValueError(f"disturbance sigma must be > 0, got {self.sigma}")
 
 
+# The trapezoid rule on the circle converges exponentially for the smooth,
+# periodic click law: 64 nodes put the oracle's error at rounding.
+TAP_NODES = 64
+
+
+def tap_quadrature(taps: tuple[NoiseTap, ...]) -> tuple[np.ndarray, np.ndarray] | None:
+    """Trapezoid nodes and weights for the taps' summed differential phase nu,
+    or None without taps.  With Gaussian taps nu ~ N(0, 2 sum sigma^2), whose
+    density wrapped on the circle has Fourier coefficients
+    exp(-k^2 sum sigma^2); a uniform tap counts as infinite sigma, and every
+    node then weighs 1 / TAP_NODES."""
+    if not taps:
+        return None
+    sigma_sq = sum(
+        math.inf if tap.kind is DisturbanceKind.UNIFORM else tap.sigma**2 for tap in taps
+    )
+    k = np.arange(1, TAP_NODES // 2)
+    nodes = np.arange(TAP_NODES) * (2.0 * math.pi / TAP_NODES)
+    return nodes, (1.0 + 2.0 * np.exp(-(k**2) * sigma_sq) @ np.cos(np.outer(k, nodes))) / TAP_NODES
+
+
 @dataclass(frozen=True)
 class SessionParams:
     """Everything a session needs besides the loop itself."""
@@ -140,12 +166,13 @@ def run_session(
     fc = fringe_coefficients(config)
     root = RngStream(params.seed)
     table = params.table
-    cell_deltas = table.through(config).cell_deltas
+    coupled = table.through(config, 1.0 / params.source.rep_rate)
+    cell_deltas = coupled.cell_deltas
     decode = DECODE[params.detectors.double_click_policy]
     coin_toss = COIN in decode
     eve_on = params.eve.strategy is not EveStrategy.OFF
     if eve_on:
-        eve_p_zero = np.cos(cell_deltas / 2.0) ** 2
+        eve_p_zero = coupled.ideal_zero_prob
     if not noise:
         cell_law = ClickLaw.at_phase(cell_deltas, fc, params.source, params.detectors)
         cell_thresholds = cell_law.thresholds()

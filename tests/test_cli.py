@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,21 @@ def test_run_stdout_when_no_out(capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("# schema loopqkd.run.v1\n")
     assert "raw rate" in captured.err
+    # the oracle's QBER is 0, a binomial of variance 0: no z-score
+    assert "oracle sifted probability 0.0475813 (z " in captured.err
+    assert captured.err.rstrip().endswith("QBER 0 (z n/a)")
+
+
+def test_net_run_reports_the_oracle_with_z_scores(capsys):
+    noisy = str(SCENARIOS.parent / "perfbench" / "scenarios" / "ring_noisy.yaml")
+    assert main(["net-run", noisy, "--partner", "alice", "--pulses", "100000"]) == 0
+    err = capsys.readouterr().err
+    oracle = (
+        r"oracle sifted probability 0\.0176895 \(z ([-+][\d.]+)\), "
+        r"QBER 0\.180627 \(z ([-+][\d.]+)\)$"
+    )
+    found = re.search(oracle, err.rstrip())
+    assert found and all(abs(float(z)) < 3.0 for z in found.groups())
 
 
 def test_same_seed_gives_byte_identical_csv(tmp_path):
@@ -137,6 +153,48 @@ def test_sweep_refuses_the_seed_axis(tmp_path, capsys):
     assert main(["sweep", IDEAL, "--axis", "nope", "--grid", "1"]) == 1
     sweepable = capsys.readouterr().err.partition("sweepable parameters: ")[2]
     assert "source.mu" in sweepable and "seed" not in sweepable.split(", ")
+
+
+def test_sweep_refuses_pulses_over_a_pulse_count_axis(tmp_path, capsys):
+    # --pulses would run the same count at every point, under a different digest each
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", IDEAL, "--axis", "protocol.pulses", "--grid", "1000,2000,3000"]
+    assert main(argv + ["--pulses", "500", "--out", str(out)]) == 1
+    assert "overridden by --pulses 500" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["--out", str(out)]) == 0
+
+
+def test_sweep_refuses_a_key_that_changes_nothing(tmp_path, capsys):
+    # paper_ideal has no eavesdropper, so its attacked fraction is read by nothing
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", IDEAL, "--axis", "eve.fraction", "--grid", "0:1:3", "--pulses", "1000"]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert "sweep eve.fraction=0.5: eve.fraction 0.5 has no effect" in capsys.readouterr().err
+    assert not out.exists()
+    raw = yaml.safe_load(Path(NETWORK).read_text(encoding="utf-8"))
+    raw["ring"]["entities"][2]["disturbance_kind"] = "uniform"
+    uniform = tmp_path / "uniform.yaml"
+    uniform.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    argv = ["sweep", str(uniform), "--axis", "ring.entities.2.disturbance_sigma", "--grid", "0,1"]
+    assert main(argv + ["--pulses", "1000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "ring.entities[2].disturbance_sigma 1 has no effect: a uniform module" in err
+    assert not out.exists()
+
+
+def test_sweep_across_the_rep_rate_conflict(tmp_path):
+    # at 250 kHz pulse k's second pass at Alice comes 83 ns after pulse k + 1's first
+    out = tmp_path / "sweep.csv"
+    calibrated = str(SCENARIOS / "paper_calibrated.yaml")
+    argv = ["sweep", calibrated, "--axis", "source.rep_rate", "--grid", "100000,250000"]
+    assert main(argv + ["--pulses", "200000", "--out", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()[1:]
+    apart, meeting = (dict(zip(header.split(","), row.split(","))) for row in rows)
+    assert float(apart["qber"]) < 0.1
+    n = int(meeting["sifted_bits"])
+    assert n > 2000
+    assert abs(float(meeting["qber"]) - 0.5) < 3.0 * math.sqrt(0.25 / n)
 
 
 def test_sweep_across_the_timing_conflict(tmp_path):

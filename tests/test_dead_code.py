@@ -12,7 +12,6 @@ USERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 # Public names that only tests reach, each kept on purpose.
 ALLOWED_UNUSED = {
     "diattenuator": "builds the polarization-dependent-loss elements that tests put into loops",
-    "expected_disturbed_qber": "ROADMAP item 3 replaces it with the noise-aware oracle",
 }
 
 
