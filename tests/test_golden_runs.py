@@ -28,7 +28,7 @@ from loopqkd.harness import transcript_csv
 from loopqkd.jones import rotator
 from loopqkd.loopmodel import fringe_coefficients, standard_loop
 from loopqkd.quantumchannel import DetectorParams, DoubleClickPolicy, SourceParams
-from loopqkd.session import SessionParams, run_session
+from loopqkd.session import DisturbanceKind, NoiseTap, SessionParams, run_session
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -203,3 +203,119 @@ def test_multi_batch_transcript_matches_golden():
     out = io.StringIO()
     transcript_csv(transcript, out)
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == MULTI_BATCH_TRANSCRIPT
+
+
+# Engine pins: case id -> (loop keywords, SessionParams keywords, noise taps,
+# sha256 of the SessionStats repr plus the transcript CSV).  The hashes were
+# taken from the engine that decided every pulse's outcome from all three
+# thresholds and drew its choice bits with ``Generator.integers``.  The
+# matrix crosses Eve at fractions 0, 0.3 and 1, both double-click policies,
+# swapped detector bits, a disclosed half, Gaussian and uniform taps, batch
+# sizes 1, 7, 1000 and 1 << 17 over odd pulse counts, a session in which no
+# gate clicks and one in which every gate does.
+_TILTED = dict(delay_jones=rotator(0.25), attenuator_transmittance=0.6)
+_ASSIGN = DoubleClickPolicy.RANDOM_ASSIGN
+ENGINE_PINS = {
+    "batch_1": (
+        _TILTED,
+        dict(pulses=301, batch_size=1, source=SourceParams(mu=0.9)),
+        (),
+        "e88fc039d751aae34c56e115198df0b62de9084c6684597b236f81b24c0ff13b",
+    ),
+    "eve_0_batch_7": (
+        _TILTED,
+        dict(
+            pulses=1003,
+            batch_size=7,
+            source=SourceParams(mu=0.7),
+            eve=EveConfig(EveStrategy.INTERCEPT_RESEND, fraction=0.0),
+        ),
+        (),
+        "529adea6ddfa4a0a4c690809d13000b21a0e6a78ade7a50de784af6adff6dac6",
+    ),
+    "eve_03_assign_batch_1000": (
+        _TILTED,
+        dict(
+            pulses=20_001,
+            batch_size=1000,
+            source=SourceParams(mu=0.8),
+            detectors=DetectorParams(efficiency=0.7, dark_prob=1e-3, double_click_policy=_ASSIGN),
+            eve=EveConfig(EveStrategy.INTERCEPT_RESEND, fraction=0.3),
+        ),
+        (),
+        "137978eb125d38e8527032e2f4d02a71f4570ddd0b3dc597c30491bb66478b0d",
+    ),
+    "eve_1_swap_half_disclosed_two_batches": (
+        {},
+        dict(
+            pulses=(1 << 17) + 3001,
+            source=SourceParams(mu=0.3),
+            detectors=DetectorParams(efficiency=0.5, dark_prob=1e-4),
+            eve=EveConfig(EveStrategy.INTERCEPT_RESEND, fraction=1.0),
+            disclosed_fraction=0.5,
+            swap_detector_bits=True,
+        ),
+        (),
+        "3003eb8236c8d6a773984e73002dceb4e17c6f0dff6a302036082a4265f2fd1d",
+    ),
+    "gaussian_tap_eve_assign_half_disclosed": (
+        _TILTED,
+        dict(
+            pulses=30_001,
+            batch_size=1000,
+            source=SourceParams(mu=1.5),
+            detectors=DetectorParams(efficiency=0.6, dark_prob=1e-3, double_click_policy=_ASSIGN),
+            eve=EveConfig(EveStrategy.INTERCEPT_RESEND, fraction=0.3),
+            disclosed_fraction=0.5,
+        ),
+        (NoiseTap(sigma=0.4, tag=1),),
+        "2aa4ab7cc4eed59aadb5f75f76d827dc1352976d0d9ef1e7f3dd916a6b62d974",
+    ),
+    "uniform_and_gaussian_taps_swap_batch_7": (
+        {},
+        dict(
+            pulses=999,
+            batch_size=7,
+            source=SourceParams(mu=0.6),
+            detectors=DetectorParams(double_click_policy=_ASSIGN),
+            swap_detector_bits=True,
+        ),
+        (NoiseTap(sigma=0.0, kind=DisturbanceKind.UNIFORM, tag=0), NoiseTap(sigma=1.1, tag=3)),
+        "64ac9251bd03e46a91edaf3b2c55f83834b64c7e636c2ba05a4cf02eb03aab08",
+    ),
+    "no_gate_clicks": (
+        _TILTED,
+        dict(pulses=20_001, batch_size=1000, source=SourceParams(mu=0.0), disclosed_fraction=0.5),
+        (),
+        "fc5d273ec6384088f2b961f7701fc154897ed481f452f60271d8bfb3bef63056",
+    ),
+    "every_gate_clicks": (
+        _TILTED,
+        dict(
+            pulses=5001,
+            batch_size=1000,
+            source=SourceParams(mu=1e4),
+            detectors=DetectorParams(double_click_policy=_ASSIGN),
+            eve=EveConfig(EveStrategy.INTERCEPT_RESEND, fraction=0.3),
+            swap_detector_bits=True,
+        ),
+        (NoiseTap(sigma=0.2, tag=2),),
+        "adb3ade4b7b9c0370b81aeb26967d3b274d724dc9368ca670eb2b1e4e7fefe62",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_PINS))
+def test_engine_pins(case):
+    loop, params, noise, want = ENGINE_PINS[case]
+    stats, transcript = run_session(
+        standard_loop(**loop), SessionParams(seed=1931, **params), noise, collect_records=True
+    )
+    if case == "no_gate_clicks":
+        assert stats.raw_clicks == 0
+    if case == "every_gate_clicks":
+        assert stats.raw_clicks == stats.pulses_sent
+    out = io.StringIO(repr(stats) + "\n")
+    out.seek(0, io.SEEK_END)
+    transcript_csv(transcript, out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == want
