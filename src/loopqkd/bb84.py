@@ -119,12 +119,15 @@ class PulseRecord:
 class Transcript:
     """Every pulse of a session, one NumPy array per column, row i = pulse i.
 
-    ``outcome`` is the gate outcome code before the double-click policy
-    (0 none, 1 d1, 2 d2, 3 both, the order of ``ClickOutcome``).
-    ``decoded`` is Bob's bit, the outcome's entry in the policy's
-    ``quantumchannel.DECODE`` row with any coin tossed (detector 1 -> 0,
-    detector 2 -> 1; flipped under ``swap_detector_bits``); it is
-    meaningful only where ``sifted``.
+    ``alice_bits``, ``alice_bases`` and ``bob_bases`` are ``uint32`` 0/1;
+    ``phi_a`` and ``phi_b`` are ``float64`` radians, the phases applied.
+    ``outcome`` is the ``int8`` gate outcome code before the double-click
+    policy (0 none, 1 d1, 2 d2, 3 both, the order of ``ClickOutcome``).
+    ``sifted`` is ``bool``.  ``decoded`` is Bob's ``int8`` bit, the
+    outcome's entry in the policy's ``quantumchannel.DECODE`` row with any
+    coin tossed (detector 1 -> 0, detector 2 -> 1; flipped under
+    ``swap_detector_bits``), and -1 where no gate clicked; it is meaningful
+    only where ``sifted``.
     """
 
     alice_bits: np.ndarray

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +34,8 @@ class JonesState:
         return np.array([self.e_x, self.e_y], dtype=complex)
 
     def norm_sq(self) -> float:
-        return abs(self.e_x) ** 2 + abs(self.e_y) ** 2
+        # products overflow to inf; ** and abs() would raise OverflowError
+        return sum(c.real * c.real + c.imag * c.imag for c in (self.e_x, self.e_y))
 
     def is_normalized(self, tol: float = ALGEBRA_TOL) -> bool:
         return math.isfinite(self.norm_sq()) and abs(self.norm_sq() - 1.0) <= tol
@@ -59,10 +61,14 @@ class JonesOperator:
     def singular_values(self) -> np.ndarray:
         return np.linalg.svd(self.m, compute_uv=False)
 
+    @cached_property
+    def _largest_singular_value(self) -> float:
+        # the matrix is read-only, and rings share IDENTITY across every link
+        return float(self.singular_values().max())
+
     def is_diattenuator(self, tol: float = ALGEBRA_TOL) -> bool:
         """True when both singular values lie in [0, 1] (passive element)."""
-        s = self.singular_values()
-        return bool(np.all(s <= 1.0 + tol))
+        return self._largest_singular_value <= 1.0 + tol
 
 
 IDENTITY = JonesOperator.identity()

@@ -8,7 +8,10 @@ randomness draws from its own named Philox substream keyed by
 ===================  =======  =================================================
 purpose              tag      draw order within a batch (arrays of batch size)
 ===================  =======  =================================================
-protocol choices     1        alice bits, alice bases, bob bases
+protocol choices     1        alice bits, alice bases, bob bases: the top bit
+                              of each 32-bit half of the raw 64-bit words,
+                              read as little-endian u32 halves, low half
+                              first; halves [0, n), [n, 2n), [2n, 3n)
 eavesdropper         2        attack coins, eve bases, eve outcome coins
 detection            3        outcome coins [, assign coins: only when the
                               policy's ``DECODE`` row holds a coin]
@@ -20,10 +23,22 @@ Counts merge by pure addition, so results are independent of batch
 processing order, and any single pulse can be re-derived from the seed,
 its batch index (pulse // batch_size) and offset (pulse % batch_size).
 
+The choice bits are read from the raw words (``choice_bits``); they are
+the bits that three ``integers(0, 2, size=n)`` calls on the substream's
+``Generator`` return.  ``RngStream.generator`` stays: the other substreams
+draw from it, and ``perfbench/replay.py`` draws the choices through it.
+
 Click sampling: each pulse draws one detection uniform and lands in the
 outcome none|d1|d2|both given by how many of three cumulative thresholds
-it passes.  Every step reads ``PhaseTable.cell_deltas`` through one cell
-index per pulse: Eve's bit is a gather from ``PhaseTable.ideal_zero_prob``,
+it passes.  The thresholds ascend, so a pulse below the first is none:
+every pulse is tested against that one threshold, and only the gates that
+click are decided further.  Their outcome, Bob's bit, the coin, sifting,
+the disclosure subset and the error count are computed on the clicked
+gates alone; the coin and disclosure substreams still draw one value per
+pulse of the batch, so no draw moves.
+
+Every step reads ``PhaseTable.cell_deltas`` through one cell index per
+pulse: Eve's bit is a gather from ``PhaseTable.ideal_zero_prob``,
 cos^2(delta / 2) of the 8 cells (her basis in place of Bob's), her attack
 moves a pulse to the cell of her re-prepared (basis, bit), and without a
 noise tap the thresholds of the 8 cells are computed once per session and
@@ -110,11 +125,12 @@ def tap_quadrature(taps: tuple[NoiseTap, ...]) -> tuple[np.ndarray, np.ndarray] 
     or None without taps.  With Gaussian taps nu ~ N(0, 2 sum sigma^2), whose
     density wrapped on the circle has Fourier coefficients
     exp(-k^2 sum sigma^2); a uniform tap counts as infinite sigma, and every
-    node then weighs 1 / TAP_NODES."""
+    node then weighs 1 / TAP_NODES.  So does a sigma whose square overflows,
+    the same limit."""
     if not taps:
         return None
     sigma_sq = sum(
-        math.inf if tap.kind is DisturbanceKind.UNIFORM else tap.sigma**2 for tap in taps
+        math.inf if tap.kind is DisturbanceKind.UNIFORM else tap.sigma * tap.sigma for tap in taps
     )
     k = np.arange(1, TAP_NODES // 2)
     nodes = np.arange(TAP_NODES) * (2.0 * math.pi / TAP_NODES)
@@ -146,6 +162,22 @@ class SessionParams:
             )
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+
+
+def choice_bits(stream: RngStream, n: int) -> np.ndarray:
+    """Alice's bits, Alice's bases and Bob's bases of ``n`` pulses, as rows
+    of a (3, n) ``uint32`` array: the top bits of the stream's first 3n
+    32-bit halves (see the module docstring).  They equal three
+    ``integers(0, 2, size=n)`` draws on ``stream.generator``."""
+    words = stream.generator.bit_generator.random_raw((3 * n + 1) // 2)
+    return (words.astype("<u8", copy=False).view("<u4")[: 3 * n] >> 31).reshape(3, n)
+
+
+def _scatter(n: int, at: np.ndarray, values: np.ndarray, fill) -> np.ndarray:
+    """A length-``n`` array holding ``values`` at the indices ``at`` and ``fill`` elsewhere."""
+    full = np.full(n, fill, dtype=values.dtype)
+    full[at] = values
+    return full
 
 
 def run_session(
@@ -188,11 +220,8 @@ def run_session(
     while pulses_left > 0:
         n = min(params.batch_size, pulses_left)
 
-        g_choice = root.substream(PURPOSE_CHOICES, batch).generator
-        alice_bits = g_choice.integers(0, 2, size=n)
-        alice_bases = g_choice.integers(0, 2, size=n)
-        bob_bases = g_choice.integers(0, 2, size=n)
-        cell = (alice_bases * 2 + alice_bits) * 2 + bob_bases
+        alice_bits, alice_bases, bob_bases = choice_bits(root.substream(PURPOSE_CHOICES, batch), n)
+        cell = ((alice_bases * 2 + alice_bits) * 2 + bob_bases).astype(np.intp)
 
         if eve_on:
             g_eve = root.substream(PURPOSE_EVE, batch).generator
@@ -218,34 +247,37 @@ def run_session(
                 delta, fc, params.source, params.detectors
             ).thresholds()
         else:
-            t_none, t_d1, t_d2 = (t[cell] for t in cell_thresholds)
+            t_none = cell_thresholds[0][cell]
 
         g_detect = root.substream(PURPOSE_DETECT, batch).generator
         u = g_detect.random(n)
-        # categorical in fixed order none|d1|d2|both
-        raw_code = (
-            (u >= t_none).astype(np.int8)
-            + (u >= t_d1).astype(np.int8)
-            + (u >= t_d2).astype(np.int8)
-        )
-        decoded = np.take(decode, raw_code.astype(np.intp))
+        # categorical in fixed order none|d1|d2|both: the thresholds ascend,
+        # so a gate below t_none is none, and only clicked gates go further
+        clicked = np.flatnonzero(u >= t_none)
+        if noise:
+            t_d1, t_d2 = t_d1[clicked], t_d2[clicked]
+        else:
+            t_d1, t_d2 = (t[cell[clicked]] for t in cell_thresholds[1:])
+        u = u[clicked]
+        raw_code = 1 + (u >= t_d1).astype(np.int8) + (u >= t_d2).astype(np.int8)
+        decoded = np.take(decode, raw_code)
         if coin_toss:
-            coin = g_detect.random(n)
+            coin = g_detect.random(n)[clicked]
             tossed = decoded == COIN
             decoded[tossed] = coin[tossed] >= 0.5
 
-        sifted = (decoded >= 0) & (alice_bases == bob_bases)
+        sifted = (decoded >= 0) & (alice_bases[clicked] == bob_bases[clicked])
         if params.swap_detector_bits:
             decoded = 1 - decoded
-        wrong = sifted & (decoded != alice_bits)
+        wrong = sifted & (decoded != alice_bits[clicked])
 
         if params.disclosed_fraction < 1.0:
             g_disc = root.substream(PURPOSE_DISCLOSE, batch).generator
-            disclosed_mask = sifted & (g_disc.random(n) < params.disclosed_fraction)
+            disclosed_mask = sifted & (g_disc.random(n)[clicked] < params.disclosed_fraction)
         else:
             disclosed_mask = sifted
 
-        raw_clicks += int(np.count_nonzero(raw_code != 0))
+        raw_clicks += len(clicked)
         sifted_bits += int(np.count_nonzero(sifted))
         errors += int(np.count_nonzero(wrong & disclosed_mask))
         disclosed_bits += int(np.count_nonzero(disclosed_mask))
@@ -253,9 +285,11 @@ def run_session(
         if collect_records:
             phi_a = table.alice_phases[alice_bases, alice_bits]
             phi_b = table.bob_phases[bob_bases]
-            batches.append(
-                (alice_bits, alice_bases, bob_bases, phi_a, phi_b, raw_code, sifted, decoded)
+            clicked_columns = (
+                _scatter(n, clicked, column, fill)
+                for column, fill in ((raw_code, 0), (sifted, False), (decoded, -1))
             )
+            batches.append((alice_bits, alice_bases, bob_bases, phi_a, phi_b, *clicked_columns))
 
         pulses_left -= n
         batch += 1

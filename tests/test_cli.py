@@ -292,3 +292,31 @@ def test_console_entry_point_runs_in_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("# schema loopqkd.run.v1")
+
+
+def test_overflowing_source_pol_exits_1(tmp_path, capsys):
+    # |s|^2 overflows to inf and fails the normalization check by name
+    raw = yaml.safe_load(Path(IDEAL).read_text(encoding="utf-8"))
+    raw["loop"]["source_pol"] = [[1e300, 0], [0, 0]]
+    path, out = tmp_path / "s.yaml", tmp_path / "run.csv"
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert main(["run", str(path), "--pulses", "64", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "loop.source_pol: polarization must be normalized, |s|^2 = inf" in err
+    assert not out.exists()
+
+
+def test_overflowing_disturbance_sigma_runs_as_a_uniform_tap(tmp_path, capsys):
+    # sigma^2 overflows to inf, whose wrapped phase is uniform: the oracle
+    # then weighs the tap as it weighs a uniform one
+    noisy = SCENARIOS.parent / "perfbench" / "scenarios" / "ring_noisy.yaml"
+    raw = yaml.safe_load(noisy.read_text(encoding="utf-8"))
+    oracle = {}
+    for variant, david in (("huge", {"disturbance_sigma": 1e300}), ("uniform", {"disturbance_kind": "uniform"})):
+        raw["ring"]["entities"][1] = {"id": "david", **david}
+        path, out = tmp_path / f"{variant}.yaml", tmp_path / f"{variant}.csv"
+        path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        assert main(["net-run", str(path), "--partner", "alice", "--pulses", "64", "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        oracle[variant] = re.search(r"oracle sifted probability (\S+) \(z \S+\), QBER (\S+) \(z", err).groups()
+    assert oracle["huge"] == oracle["uniform"]

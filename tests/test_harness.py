@@ -861,6 +861,33 @@ def test_every_numeric_key_changes_what_the_engine_reads_or_is_refused():
     assert inert == {"source.wavelength"}
 
 
+# Every numeric key of every shipped file is set to each of these in turn.
+EXTREMES = (0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0, 1e300)
+
+
+def test_every_accepted_extreme_runs_to_an_answer():
+    # an accepted scenario gives the oracle, a short run and the fringe for
+    # every partner; what cannot run is refused while it is built
+    accepted = 0
+    for path in SHIPPED:
+        effective = load_scenario(str(path)).effective
+        for axis in numeric_axes(effective):
+            original = _leaf(effective, axis)
+            for value in EXTREMES:
+                harness._set_path(effective, axis, value)
+                try:
+                    sc = build_scenario(effective)
+                except ScenarioError:
+                    continue
+                accepted += 1
+                for partner in [None] if sc.ring is None else sc.ring.entity_ids():
+                    expected_for_scenario(sc, partner)
+                    run(sc, pulses=64, partner=partner)
+                    fringe(sc, points=4, partner=partner)
+            harness._set_path(effective, axis, original)
+    assert accepted > 0
+
+
 def test_run_is_reproducible():
     sc = load_scenario(str(SCENARIOS / "paper_ideal.yaml"))
     r1, _ = run(sc, pulses=50_000)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from loopqkd.bb84 import PHASE_CODING, EveConfig, EveStrategy, PulseRecord, sift
 from loopqkd.harness import (
@@ -25,13 +25,16 @@ from loopqkd.quantumchannel import (
     ClickOutcome,
     DetectorParams,
     DoubleClickPolicy,
+    RngStream,
     SourceParams,
     expected_session,
 )
 from loopqkd.session import (
+    PURPOSE_CHOICES,
     DisturbanceKind,
     NoiseTap,
     SessionParams,
+    choice_bits,
     run_session,
     tap_quadrature,
 )
@@ -64,6 +67,20 @@ def test_session_independent_of_batch_size():
     a, _ = run_session(cfg, SessionParams(pulses=30_000, seed=5, batch_size=1 << 15))
     b, _ = run_session(cfg, SessionParams(pulses=30_000, seed=5, batch_size=1 << 17))
     assert a == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3000), st.integers(0, 2**64 - 1), st.integers(0, (1 << 40) - 1))
+@example(n=1, seed=0, batch=0)
+@example(n=(1 << 17) + 1, seed=2**64 - 1, batch=7)
+def test_choice_bits_equal_three_integer_draws(n, seed, batch):
+    # the raw words' top bits are what Generator.integers(0, 2) returns,
+    # including the half word an odd n leaves buffered between its calls
+    generator = RngStream(seed).substream(PURPOSE_CHOICES, batch).generator
+    want = [generator.integers(0, 2, size=n) for _ in range(3)]
+    got = choice_bits(RngStream(seed).substream(PURPOSE_CHOICES, batch), n)
+    assert got.shape == (3, n)
+    assert all(np.array_equal(row, draw) for row, draw in zip(got, want))
 
 
 # ---------------------------------------------------------------- substream layout
