@@ -98,6 +98,11 @@ class EveConfig:
     def __post_init__(self) -> None:
         if not (0.0 <= self.fraction <= 1.0):
             raise ValueError(f"eve.fraction must be in [0, 1], got {self.fraction}")
+        if self.strategy is EveStrategy.OFF and self.fraction > 0.0:
+            raise ValueError(
+                f"eve.fraction {self.fraction:g} has no effect: "
+                "eve.strategy is off, so no pulse is attacked"
+            )
 
 
 @dataclass(frozen=True)
@@ -119,25 +124,33 @@ class PulseRecord:
 class Transcript:
     """Every pulse of a session, one NumPy array per column, row i = pulse i.
 
-    ``alice_bits``, ``alice_bases`` and ``bob_bases`` are ``uint32`` 0/1;
-    ``phi_a`` and ``phi_b`` are ``float64`` radians, the phases applied.
+    ``alice_bits``, ``alice_bases`` and ``bob_bases`` are ``uint8`` 0/1.
     ``outcome`` is the ``int8`` gate outcome code before the double-click
     policy (0 none, 1 d1, 2 d2, 3 both, the order of ``ClickOutcome``).
     ``sifted`` is ``bool``.  ``decoded`` is Bob's ``int8`` bit, the
     outcome's entry in the policy's ``quantumchannel.DECODE`` row with any
     coin tossed (detector 1 -> 0, detector 2 -> 1; flipped under
     ``swap_detector_bits``), and -1 where no gate clicked; it is meaningful
-    only where ``sifted``.
+    only where ``sifted``.  ``table`` is the ``PhaseTable`` applied
+    (``SessionParams.table``, not the coupled one); the phases of pulse i,
+    ``table.alice_phases[alice_bases[i], alice_bits[i]]`` and
+    ``table.bob_phases[bob_bases[i]]``, are gathered where they are read.
     """
 
     alice_bits: np.ndarray
     alice_bases: np.ndarray
     bob_bases: np.ndarray
-    phi_a: np.ndarray
-    phi_b: np.ndarray
     outcome: np.ndarray
     sifted: np.ndarray
     decoded: np.ndarray
+    table: PhaseTable
+
+    @classmethod
+    def empty(cls, n: int, table: PhaseTable) -> "Transcript":
+        """``n`` pulses on which no gate clicked, to be filled in place."""
+        choices = (np.zeros(n, np.uint8) for _ in range(3))
+        no_click = np.zeros(n, np.int8), np.zeros(n, bool), np.full(n, -1, np.int8)
+        return cls(*choices, *no_click, table)
 
     def __len__(self) -> int:
         return len(self.outcome)

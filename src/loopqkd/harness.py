@@ -314,11 +314,11 @@ class Scenario:
 def _construct(eff: dict) -> tuple[SessionParams, LoopConfig | None, RingConfig | None]:
     """Objects of an effective scenario; raises ValueError.
 
-    Each object checks itself when it is built.  A ring is also flattened
+    Each object checks itself when it is built, ``EveConfig`` refusing an
+    attacked fraction without an eavesdropper.  A ring is also flattened
     once for its first entity, because only the flattened loop checks the
-    ring's delay, loss and coupler.  After those range checks, a key set
-    where the model never reads it is refused: an attacked fraction without
-    an eavesdropper, or a sigma on a uniform module.
+    ring's delay, loss and coupler.  After its own range check, a sigma on a
+    uniform module, which the model never reads, is refused.
     """
     protocol, eve = eff["protocol"], eff["eve"]
     params = SessionParams(
@@ -332,11 +332,6 @@ def _construct(eff: dict) -> tuple[SessionParams, LoopConfig | None, RingConfig 
         eve=EveConfig(EveStrategy(eve["strategy"]), eve["fraction"]),
         disclosed_fraction=protocol["disclosed_fraction"],
     )
-    if params.eve.strategy is EveStrategy.OFF and params.eve.fraction > 0.0:
-        raise ValueError(
-            f"eve.fraction {params.eve.fraction:g} has no effect: "
-            "eve.strategy is off, so no pulse is attacked"
-        )
     if "loop" in eff:
         loop = eff["loop"]
         # the geometry (every float field) goes in by keyword
@@ -843,14 +838,15 @@ def transcript_csv(transcript: Transcript, out: TextIO) -> None:
     t = transcript
     for start in range(0, len(t), TRANSCRIPT_CHUNK_ROWS):
         rows = slice(start, start + TRANSCRIPT_CHUNK_ROWS)
+        a_bits, a_bases, b_bases = (c[rows] for c in (t.alice_bits, t.alice_bases, t.bob_bases))
         sifted = t.sifted[rows]
         columns = (
             map(str, range(len(t))[rows]),
-            _column(t.alice_bits[rows]),
-            _column(t.alice_bases[rows]),
-            _column(t.bob_bases[rows]),
-            _column(t.phi_a[rows]),
-            _column(t.phi_b[rows]),
+            _column(a_bits),
+            _column(a_bases),
+            _column(b_bases),
+            _column(t.table.alice_phases[a_bases, a_bits]),
+            _column(t.table.bob_phases[b_bases]),
             _column(t.outcome[rows], lambda c: _OUTCOME_NAMES[c]),
             _column(sifted, lambda s: "1" if s else "0"),
             _column(np.where(sifted, t.decoded[rows], -1), lambda b: "" if b < 0 else str(b)),

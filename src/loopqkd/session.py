@@ -53,12 +53,12 @@ phases that reach the coupler, ``PhaseTable.through(loop, period)``: a
 modulator whose gate also meets another pass, of the same pulse or of one
 a multiple of the pulse period later, shifts both, so its party's phases
 drop out (the QBER goes to 1/2 when that party is Alice).  Transcripts
-record the applied phases.
+record the applied phases: they carry ``params.table``, not the coupled one.
 
-Transcripts are columnar: on request the engine keeps each batch's choice,
-phase, outcome and sifting arrays and returns them concatenated as one
-``bb84.Transcript``, a few tens of bytes per pulse and no Python object
-per pulse.
+Transcripts are columnar: on request the engine fills one session-long
+``bb84.Transcript.empty`` in place, each batch's choices into its rows and
+the clicked gates' outcome, sifted flag and decoded bit into theirs; six
+bytes per pulse, no phases stored, no Python object per pulse.
 """
 
 from __future__ import annotations
@@ -173,13 +173,6 @@ def choice_bits(stream: RngStream, n: int) -> np.ndarray:
     return (words.astype("<u8", copy=False).view("<u4")[: 3 * n] >> 31).reshape(3, n)
 
 
-def _scatter(n: int, at: np.ndarray, values: np.ndarray, fill) -> np.ndarray:
-    """A length-``n`` array holding ``values`` at the indices ``at`` and ``fill`` elsewhere."""
-    full = np.full(n, fill, dtype=values.dtype)
-    full[at] = values
-    return full
-
-
 def run_session(
     config: LoopConfig,
     params: SessionParams,
@@ -192,8 +185,8 @@ def run_session(
     for the substream layout and the cell table every step reads.  Every
     parameter object checked itself when it was built, so nothing is
     re-checked here.  ``collect_records`` also returns the session's
-    columnar ``Transcript``: each batch's arrays are kept and concatenated
-    once at the end, a few tens of bytes per pulse.
+    columnar ``Transcript``, filled in place batch by batch, six bytes per
+    pulse.
     """
     fc = fringe_coefficients(config)
     root = RngStream(params.seed)
@@ -209,16 +202,14 @@ def run_session(
         cell_law = ClickLaw.at_phase(cell_deltas, fc, params.source, params.detectors)
         cell_thresholds = cell_law.thresholds()
 
-    pulses_left = params.pulses
-    batch = 0
     raw_clicks = 0
     sifted_bits = 0
     errors = 0
     disclosed_bits = 0
-    batches: list[tuple[np.ndarray, ...]] = []
+    transcript = Transcript.empty(params.pulses, table) if collect_records else None
 
-    while pulses_left > 0:
-        n = min(params.batch_size, pulses_left)
+    for batch, start in enumerate(range(0, params.pulses, params.batch_size)):
+        n = min(params.batch_size, params.pulses - start)
 
         alice_bits, alice_bases, bob_bases = choice_bits(root.substream(PURPOSE_CHOICES, batch), n)
         cell = ((alice_bases * 2 + alice_bits) * 2 + bob_bases).astype(np.intp)
@@ -282,17 +273,14 @@ def run_session(
         errors += int(np.count_nonzero(wrong & disclosed_mask))
         disclosed_bits += int(np.count_nonzero(disclosed_mask))
 
-        if collect_records:
-            phi_a = table.alice_phases[alice_bases, alice_bits]
-            phi_b = table.bob_phases[bob_bases]
-            clicked_columns = (
-                _scatter(n, clicked, column, fill)
-                for column, fill in ((raw_code, 0), (sifted, False), (decoded, -1))
-            )
-            batches.append((alice_bits, alice_bases, bob_bases, phi_a, phi_b, *clicked_columns))
-
-        pulses_left -= n
-        batch += 1
+        if transcript is not None:
+            rows, at = slice(start, start + n), start + clicked
+            transcript.alice_bits[rows] = alice_bits
+            transcript.alice_bases[rows] = alice_bases
+            transcript.bob_bases[rows] = bob_bases
+            transcript.outcome[at] = raw_code
+            transcript.sifted[at] = sifted
+            transcript.decoded[at] = decoded
 
     stats = SessionStats.from_counts(
         pulses_sent=params.pulses,
@@ -302,5 +290,4 @@ def run_session(
         disclosed_bits=disclosed_bits,
         rep_rate=params.source.rep_rate,
     )
-    transcript = Transcript(*map(np.concatenate, zip(*batches))) if collect_records else None
     return stats, transcript

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from loopqkd.bb84 import (
     sift,
     wilson_interval,
 )
+from loopqkd.harness import transcript_csv
 from loopqkd.jones import rotator
 from loopqkd.loopmodel import fringe_coefficients, standard_loop
 from loopqkd.quantumchannel import (
@@ -78,9 +80,14 @@ def test_choices_match_table():
     eve = EveConfig(EveStrategy.INTERCEPT_RESEND, fraction=0.5)
     for seed, params in ((3, {}), (4, {"eve": eve})):
         _, t = transcript_of(2000, seed, **params)
-        # Alice's column is her own phase, also on pulses Eve re-prepared
-        assert np.array_equal(t.phi_a, PHASE_CODING.alice_phases[t.alice_bases, t.alice_bits])
-        assert np.array_equal(t.phi_b, PHASE_CODING.bob_phases[t.bob_bases])
+        out = io.StringIO()
+        transcript_csv(t, out)
+        rows = [line.split(",") for line in out.getvalue().splitlines()[2:]]
+        phi_a, phi_b = (np.array(column, dtype=float) for column in list(zip(*rows))[4:6])
+        # the CSV's phi_a is Alice's own phase, also on pulses Eve re-prepared
+        want_a = PHASE_CODING.alice_phases[t.alice_bases, t.alice_bits]
+        assert np.allclose(phi_a, want_a, rtol=1e-8, atol=0.0)
+        assert np.allclose(phi_b, PHASE_CODING.bob_phases[t.bob_bases], rtol=1e-8, atol=0.0)
 
 
 def test_choices_are_uniform():
@@ -125,6 +132,16 @@ def test_matched_basis_ideal_optics_is_deterministic():
 
 
 # ---------------------------------------------------------------- eve
+
+
+def test_eve_fraction_without_eve_is_refused():
+    # the oracle would model an attack the engine never makes
+    with pytest.raises(ValueError, match="^eve.fraction 0.5 has no effect: eve.strategy is off"):
+        EveConfig(EveStrategy.OFF, 0.5)
+    # the range check comes first
+    with pytest.raises(ValueError, match=r"^eve.fraction must be in \[0, 1\], got 1.5$"):
+        EveConfig(EveStrategy.OFF, 1.5)
+    assert EveConfig(EveStrategy.OFF, 0.0) == EveConfig()
 
 
 def test_eve_off_and_zero_fraction_pass_through():

@@ -29,6 +29,7 @@ from loopqkd.harness import (
     transcript_csv,
 )
 from loopqkd.bb84 import PHASE_CODING, EveConfig, EveStrategy
+from loopqkd.cli import main
 from loopqkd.jones import JonesOperator
 from loopqkd.loopmodel import (
     DEFAULT_GATE_WIDTH,
@@ -886,6 +887,32 @@ def test_every_accepted_extreme_runs_to_an_answer():
                     fringe(sc, points=4, partner=partner)
             harness._set_path(effective, axis, original)
     assert accepted > 0
+
+
+def test_the_largest_extreme_never_exits_2_through_the_cli(tmp_path, capsys):
+    # each numeric key, in the first shipped file that has it, at the extreme
+    # that overflows a square, through the CLI: a case is refused (1) or
+    # answered (0), and no command fails at run time (2)
+    files = {path: load_scenario(str(path)).effective for path in SHIPPED}
+    cases = {axis: path for path in reversed(SHIPPED) for axis in numeric_axes(files[path])}
+    scenario, out = tmp_path / "s.yaml", ["--out", str(tmp_path / "out")]
+    for axis, path in cases.items():
+        effective = copy.deepcopy(files[path])
+        harness._set_path(effective, axis, EXTREMES[-1])
+        scenario.write_text(dump_scenario(effective), encoding="utf-8")
+        if "ring" in effective:
+            partner = effective["ring"]["entities"][0]["id"]
+            commands = (["net-run", "--pulses", "64", "--partner", partner],)
+        else:
+            commands = (
+                ["run", "--pulses", "64"],
+                ["fringe", "--points", "4"],
+                ["calibrate", "--target-raw", "1200", "--target-qber", "0.054"],
+            )
+        for command, *options in commands:
+            code = main([command, str(scenario), *options, *out])
+            err = capsys.readouterr().err
+            assert code != 2, (command, path.name, axis, err)
 
 
 def test_run_is_reproducible():

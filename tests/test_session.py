@@ -1,6 +1,10 @@
 import dataclasses
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,7 +128,12 @@ def session_counts(stats):
 
 
 def transcript_columns(transcript):
-    return [getattr(transcript, f.name) for f in dataclasses.fields(transcript)]
+    """The transcript's array columns; its phase table is compared on its own."""
+    return [getattr(transcript, f.name) for f in dataclasses.fields(transcript) if f.name != "table"]
+
+
+def same_table(a, b):
+    return np.array_equal(a.alice_phases, b.alice_phases) and np.array_equal(a.bob_phases, b.bob_phases)
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,6 +149,7 @@ def test_batch_sizes_that_hold_the_session_agree(setup, pulses, spare_a, spare_b
     assert session_counts(stats_a) == session_counts(stats_b)
     for a, b in zip(transcript_columns(t_a), transcript_columns(t_b)):
         assert np.array_equal(a, b)
+    assert same_table(t_a.table, t_b.table)
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,6 +165,7 @@ def test_whole_batches_are_a_prefix_of_a_longer_session(setup, batch, k, more):
     )
     for got, want in zip(transcript_columns(short), transcript_columns(long)):
         assert np.array_equal(got, want[:n])
+    assert same_table(short.table, long.table)
     assert stats.raw_clicks == np.count_nonzero(long.outcome[:n])
     assert stats.sifted_bits == np.count_nonzero(long.sifted[:n])
 
@@ -216,6 +227,45 @@ def test_engine_counts_agree_with_record_sift():
     assert resifted.stats.sifted_bits == stats.sifted_bits
     assert resifted.stats.errors == stats.errors
     assert resifted.stats.raw_rate == pytest.approx(stats.raw_rate)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Runs paper_calibrated at 2 M pulses without, then with, a transcript and
+# prints the peak resident set, in MB, at its start and after each run.
+TRANSCRIPT_MEMORY_PROBE = """
+import resource, sys
+peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+start = peak()
+from loopqkd import harness
+scenario = harness.load_scenario(sys.argv[1])
+harness.run(scenario, pulses=2_000_000)
+before = peak()
+harness.run(scenario, pulses=2_000_000, collect_records=True)
+print(start, before, peak())
+"""
+
+# A child's ru_maxrss starts at its parent's peak (Linux keeps the peak of
+# the memory image that exec replaces), so the probe is started by a small
+# interpreter rather than by this test process.
+SPAWN = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
+
+
+def test_transcript_adds_a_few_bytes_per_pulse():
+    # six bytes per pulse are 12 MB at 2 M pulses; keeping each batch's
+    # arrays and concatenating them took 113 MB
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    scenario = str(ROOT / "scenarios" / "paper_calibrated.yaml")
+    proc = subprocess.run(
+        [sys.executable, "-c", SPAWN, sys.executable, "-c", TRANSCRIPT_MEMORY_PROBE, scenario],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    start, before, after = map(float, proc.stdout.split())
+    assert start < before  # the probe measured its own runs
+    assert after - before < 30.0
 
 
 @pytest.mark.parametrize(
@@ -499,9 +549,13 @@ def test_oracle_drops_alice_phase_where_pulses_meet(
 def test_pulses_meeting_at_alice_carry_no_key(topology):
     sc = build_scenario({"seed": 20011215, **topology})
     assert abs(expected_for_scenario(sc).qber - 0.5) < 1e-12
-    report, transcript = run(sc, pulses=100_000, collect_records=True)
-    s = report.stats
+    s = run(sc, pulses=100_000)[0].stats
     assert s.disclosed_bits > 4000
     assert abs(s.qber - 0.5) < 3.0 * math.sqrt(0.25 / s.disclosed_bits)
     # the transcript keeps the phases Alice applied, not the ones that reached the coupler
-    assert np.array_equal(np.unique(transcript.phi_a), np.sort(PHASE_CODING.alice_phases.ravel()))
+    _, transcript = run(sc, pulses=1000, collect_records=True)
+    assert same_table(transcript.table, PHASE_CODING)
+    out = io.StringIO()
+    transcript_csv(transcript, out)
+    phi_a = np.unique([r.phi_a for r in parse_transcript(out.getvalue())])
+    assert np.allclose(phi_a, np.sort(PHASE_CODING.alice_phases.ravel()), rtol=1e-8, atol=0.0)
